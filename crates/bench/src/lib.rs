@@ -2,11 +2,10 @@
 //! paper.
 //!
 //! One binary per artefact lives in `src/bin/` (`table1`, `table2`,
-//! `fig1`–`fig13`, `eq1`, `case_study`, plus `run_all`); Criterion
-//! microbenchmarks live in `benches/`. This library holds the shared
-//! setup: the paper's evaluation scenario (42-server/82-GPU testbed,
-//! OPT-66B, 20 QPS Splitwise-like workload), system constructors, and
-//! result output helpers.
+//! `fig1`–`fig13`, `eq1`, `case_study`, plus `run_all`). This library
+//! holds the shared setup: the paper's evaluation scenario
+//! (42-server/82-GPU testbed, OPT-66B, 20 QPS Splitwise-like workload),
+//! system constructors, and result output helpers.
 
 #![warn(missing_docs)]
 

@@ -265,9 +265,6 @@ pub struct FlexPipePolicy {
     low_demand_ticks: u32,
     pending_target: Option<u32>,
     pending_ticks: u32,
-    /// Decision latencies in seconds (wall-clock of the scoring pass),
-    /// recorded to validate the paper's < 5 ms claim.
-    pub decision_secs: Vec<f64>,
 }
 
 impl FlexPipePolicy {
@@ -285,7 +282,6 @@ impl FlexPipePolicy {
             low_demand_ticks: 0,
             pending_target: None,
             pending_ticks: 0,
-            decision_secs: Vec::new(),
         }
     }
 
@@ -658,7 +654,6 @@ impl ControlPolicy for FlexPipePolicy {
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let started = std::time::Instant::now();
         // Drain the engine's dirty set unconditionally so deltas never
         // accumulate across ticks; only the warm-start path consumes them.
         // The from-scratch reference (NaiveScan) re-snapshots the fleet
@@ -976,8 +971,6 @@ impl ControlPolicy for FlexPipePolicy {
         } else {
             self.low_demand_ticks = 0;
         }
-
-        self.decision_secs.push(started.elapsed().as_secs_f64());
     }
 
     /// Proactive inflight migration: when the platform announces a

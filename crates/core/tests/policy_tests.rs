@@ -153,8 +153,9 @@ fn flexpipe_beats_static_under_bursts() {
 fn flexpipe_decision_latency_is_fast() {
     // The paper claims < 5 ms decisions for 2-32 stage configurations;
     // our scoring pass over 4 levels must be far below that even in debug
-    // builds.
+    // builds. The wrapper times each tick from outside the policy.
     use std::sync::{Arc, Mutex};
+    use std::time::Instant;
 
     struct Instrumented {
         inner: FlexPipePolicy,
@@ -168,8 +169,10 @@ fn flexpipe_decision_latency_is_fast() {
             self.inner.init(ctx)
         }
         fn on_tick(&mut self, ctx: &mut flexpipe_serving::Ctx<'_>) {
+            let started = Instant::now();
             self.inner.on_tick(ctx);
-            *self.sink.lock().unwrap() = self.inner.decision_secs.clone();
+            let secs = started.elapsed().as_secs_f64();
+            self.sink.lock().unwrap().push(secs);
         }
     }
 

@@ -28,10 +28,7 @@ use flexpipe_bench::PaperSetup;
 use flexpipe_chaos::DisruptionScript;
 use flexpipe_metrics::{fmt_f, fmt_pct, Table};
 use flexpipe_model::ModelId;
-use flexpipe_serving::{
-    churn, decode_slot_churn, server_load_churn, AdmissionMode, Engine, EngineConfig, EngineMode,
-    Scenario,
-};
+use flexpipe_serving::{AdmissionMode, Engine, EngineConfig, Scenario};
 use flexpipe_sim::{SimDuration, SimRng, SimTime};
 use flexpipe_workload::{ArrivalSpec, LengthProfile, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -469,107 +466,6 @@ impl BenchReport {
         }
         Some(t)
     }
-}
-
-/// Result of one hot-path A/B microbench row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HotPathRow {
-    /// Which engine structure the row measures.
-    pub path: &'static str,
-    /// Problem size (instances or servers).
-    pub scale: usize,
-    /// Operations driven through the harness.
-    pub ops: usize,
-    /// Wall-clock of the indexed run, seconds.
-    pub indexed_secs: f64,
-    /// Wall-clock of the naive-reference run, seconds.
-    pub naive_secs: f64,
-    /// Whether both modes produced the identical decision checksum.
-    pub identical: bool,
-}
-
-/// The `fleet bench --hot-paths` microbench: drives the engine-free churn
-/// harnesses behind each incrementally maintained structure (admission
-/// index, decode-slot tracker, server-load ranking) at fleet scale in
-/// both [`EngineMode`]s, and reports wall-clock speedups plus a
-/// decision-checksum identity column. A `false` in that column is an
-/// engine bug (the indexes must be pure optimizations) — the CLI exits 2
-/// on it.
-///
-/// `scale` is the instance/server count (the acceptance bar measures at
-/// ≥1000); `ops` the per-harness operation count. Wall-clock never enters
-/// any artifact.
-pub fn hot_path_speedups(scale: usize, ops: usize) -> Vec<HotPathRow> {
-    fn timed<F: FnMut(EngineMode) -> u64>(
-        path: &'static str,
-        scale: usize,
-        ops: usize,
-        mut run: F,
-    ) -> HotPathRow {
-        // Warm both paths once so allocator effects don't pollute the
-        // measured passes.
-        let w1 = run(EngineMode::Indexed);
-        let w2 = run(EngineMode::NaiveScan);
-        let t = Instant::now();
-        let a = run(EngineMode::Indexed);
-        let indexed_secs = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let b = run(EngineMode::NaiveScan);
-        let naive_secs = t.elapsed().as_secs_f64();
-        HotPathRow {
-            path,
-            scale,
-            ops,
-            indexed_secs,
-            naive_secs,
-            identical: a == b && w1 == w2,
-        }
-    }
-    vec![
-        timed("admission", scale, ops, |m| churn(scale, ops, m)),
-        timed("decode-slot", scale, ops, |m| {
-            decode_slot_churn(scale, ops, m)
-        }),
-        timed("hottest-server", scale, ops / 10, |m| {
-            // The naive rebuild is O(servers × GPUs) *per op*; a tenth of
-            // the ops keeps the naive pass in CI-smoke territory while
-            // the speedup signal stays unmistakable.
-            server_load_churn(scale, ops / 10, m)
-        }),
-    ]
-}
-
-/// Renders [`hot_path_speedups`] rows (wall-clock only, never an
-/// artifact).
-pub fn hot_path_table(rows: &[HotPathRow]) -> Table {
-    let mut t = Table::new(
-        "Engine hot paths: indexed structures vs naive reference scans",
-        &[
-            "path",
-            "scale",
-            "ops",
-            "indexed(s)",
-            "naive(s)",
-            "speedup",
-            "identical",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.path.to_string(),
-            r.scale.to_string(),
-            r.ops.to_string(),
-            fmt_f(r.indexed_secs, 3),
-            fmt_f(r.naive_secs, 3),
-            if r.indexed_secs > 0.0 {
-                fmt_f(r.naive_secs / r.indexed_secs, 1)
-            } else {
-                "-".into()
-            },
-            if r.identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    t
 }
 
 /// Executes one bench cell; returns its deterministic metrics and the

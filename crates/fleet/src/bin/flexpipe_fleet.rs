@@ -19,10 +19,6 @@
 //!     --out <report.json>     write the byte-stable artifact (wall-clock excluded)
 //!     --threads <n>           worker threads (use 1 for clean A/B timing)
 //!     --rates <a,b,..>        override the spec's rate axis (CI smoke: --rates 100)
-//!     --hot-paths             also run the engine-free hot-path microbench
-//!                             (admission / decode-slot / hottest-server at
-//!                             1500 instances/servers): speedup table + exit 2
-//!                             if any index diverges from its naive reference
 //!     --quiet                 suppress per-cell progress on stderr
 //! flexpipe-fleet campaign init [campaign.json]    write the CI campaign template
 //! flexpipe-fleet campaign <campaign.(json|toml)> [options]
@@ -76,21 +72,11 @@
 //!                                                 (per-entity, modulo the commutation
 //!                                                 relation); exit 0 equivalent, 2 diverged
 //!     --textual               compare raw lines instead (the old byte-level diff)
-//! flexpipe-fleet trace profile [--instances N]    engine dispatch self-time table
-//!                                                 (default 1500 instances), incl.
-//!                                                 the policy.on_tick row, then the
-//!                                                 FlexPipe control-plane comparisons:
-//!                                                 on_tick self-time warm-start
-//!                                                 (indexed) vs from-scratch (naive),
-//!                                                 and the calm-tick plan cache vs
-//!                                                 the per-tick refactor-pass walk;
-//!                                                 exit 2 if either speedup falls
-//!                                                 below the floor
-//!     --min-speedup <x>       required indexed-vs-naive on_tick speedup
-//!                             (default 2.0)
-//!     --json                  print the speedup-gate report as JSON on
-//!                             stdout (same schema as the `bench --live`
-//!                             scaling gate); tables move to stderr
+//! flexpipe-fleet trace profile [--instances N]    engine dispatch wall time per event
+//!                                                 kind at N single-stage instances
+//!                                                 (default 1500, range 1..=100000),
+//!                                                 timed from outside the engine one
+//!                                                 step at a time
 //! flexpipe-fleet serve init [serve.json]          write the live-serve spec template
 //! flexpipe-fleet serve <serve.json> [options]     run the sharded live-serving gateway
 //!     --out-dir <dir>         artifact directory (default <name>.serve):
@@ -108,16 +94,6 @@
 //!                                                 to the recorded run's, and the
 //!                                                 re-assembled recording must equal
 //!                                                 the input (exit 2 otherwise)
-//! flexpipe-fleet bench --live [options]           shard-scaling live bench + QPS gate
-//!     --spec <serve.json>     base serve spec (default: the pinned scaling workload)
-//!     --shards <a,b,..>       shard counts to sweep (default 1,2,4)
-//!     --out <artifact.json>   byte-stable scaling artifact (wall-clock excluded)
-//!     --min-scaling <x>       required 2-shard QPS scaling vs 1 shard
-//!                             (default 1.6); exit 2 below the floor
-//!     --horizon <secs>        override the spec's serving horizon (CI smoke)
-//!     --rate <r/s>            override the spec's offered rate (CI smoke)
-//!     --json                  print the speedup-gate report as JSON on stdout;
-//!                             tables move to stderr
 //! flexpipe-fleet check equiv <a.jsonl> <b.jsonl>  semantic trace equivalence; exit 0
 //!                                                 equivalent, 2 with the first per-entity
 //!                                                 divergence otherwise
@@ -169,23 +145,21 @@ use flexpipe_check::{
 };
 use flexpipe_fleet::{
     assemble_campaign, cache_salt, find_cell, gate::gate, parse_bench, parse_campaign, parse_spec,
-    profile_on_tick, profile_on_tick_calm, profile_on_tick_flexpipe, record_cell_trace, run_bench,
-    run_campaign, run_sweep, run_worker, AssembleOutcome, BenchSpec, CampaignOptions, CampaignSpec,
-    CellCache, FleetReport, GateConfig, RunOptions, SpecReport, SpeedupGate, SpeedupGateReport,
-    StoreKind, SweepSpec, WorkerOptions,
+    profile_dispatch, record_cell_trace, run_bench, run_campaign, run_sweep, run_worker,
+    AssembleOutcome, BenchSpec, CampaignOptions, CampaignSpec, CellCache, FleetReport, GateConfig,
+    RunOptions, SpecReport, StoreKind, SweepSpec, WorkerOptions,
 };
 use flexpipe_gateway::{
-    pinned_live_spec, replay_with, run_live_bench, serve_with, LeastLoadedSpillover,
-    LiveBenchArtifact, LiveBenchTiming, NoSpillover, Pacing, PaperSetup, Recording, ServeOutcome,
-    ServeSpec, SpilloverPolicy,
+    replay_with, serve_with, LeastLoadedSpillover, NoSpillover, Pacing, PaperSetup, Recording,
+    ServeOutcome, ServeSpec, SpilloverPolicy,
 };
 use flexpipe_metrics::{fmt_f, Table};
 use flexpipe_obs::{first_divergence, parse_jsonl, TraceRecord, TraceSummary};
-use flexpipe_serving::{AdmissionMode, ObservedRun, TraceMode, ENGINE_SEMANTICS_VERSION};
+use flexpipe_serving::{AdmissionMode, TraceMode, ENGINE_SEMANTICS_VERSION};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.(json|toml)> [--out report.json] [--threads N] [--quiet] [--verbose] [--admission indexed|naive] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.(json|toml)> [--out report.json] [--threads N] [--rates 100,200] [--hot-paths] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.(json|toml)> [--out-dir DIR] [--cache DIR | --no-cache] [--store localdisk|log] [--threads N] [--quiet] [--verbose] [--admission indexed|naive] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.(json|toml)> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.(json|toml)> [--cache DIR] [--store localdisk|log] [--shard i/n | --claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet] [--admission indexed|naive]\n  flexpipe-fleet trace record <spec.(json|toml)> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl] [--admission indexed|naive]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace diff <a.jsonl> <b.jsonl> [--textual]\n  flexpipe-fleet trace profile [--instances N] [--min-speedup X] [--json]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet bench --live [--spec serve.json] [--shards 1,2,4] [--out artifact.json] [--min-scaling 1.6] [--horizon SECS] [--rate R] [--json]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
+        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.(json|toml)> [--out report.json] [--threads N] [--quiet] [--verbose] [--admission indexed|naive] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.(json|toml)> [--out report.json] [--threads N] [--rates 100,200] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.(json|toml)> [--out-dir DIR] [--cache DIR | --no-cache] [--store localdisk|log] [--threads N] [--quiet] [--verbose] [--admission indexed|naive] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.(json|toml)> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.(json|toml)> [--cache DIR] [--store localdisk|log] [--shard i/n | --claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet] [--admission indexed|naive]\n  flexpipe-fleet trace record <spec.(json|toml)> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl] [--admission indexed|naive]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace diff <a.jsonl> <b.jsonl> [--textual]\n  flexpipe-fleet trace profile [--instances N]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
     );
     ExitCode::from(1)
 }
@@ -368,11 +342,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 }
 
 fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
-    // `bench --live`: the shard-scaling live bench (gateway crate).
-    if take_flag(&mut args, "--live") {
-        return cmd_bench_live(args);
-    }
-
     // `bench init [path]`: write the engine-tunable template.
     if args.first().map(String::as_str) == Some("init") {
         let path = args
@@ -402,7 +371,6 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     };
     let quiet = take_flag(&mut args, "--quiet");
     let rates = take_flag_value(&mut args, "--rates")?;
-    let hot_paths = take_flag(&mut args, "--hot-paths");
     let [spec_path] = args.as_slice() else {
         return Err(usage());
     };
@@ -450,20 +418,6 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             mismatches.join(", ")
         );
         return Ok(ExitCode::from(2));
-    }
-
-    // The engine-free hot-path microbench: each incremental structure vs
-    // its retained naive scan at fleet scale (1500 instances/servers —
-    // the ≥1000 tier the acceptance bar measures). Wall-clock only; the
-    // decision checksums must be identical, or the "pure optimization"
-    // contract is broken and we exit 2 like a mode mismatch.
-    if hot_paths {
-        let rows = flexpipe_fleet::hot_path_speedups(1500, 120_000);
-        println!("{}", flexpipe_fleet::hot_path_table(&rows).render());
-        if rows.iter().any(|r| !r.identical) {
-            eprintln!("ERROR: a hot-path index diverged from its naive reference scan");
-            return Ok(ExitCode::from(2));
-        }
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -648,184 +602,6 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         outcome.reports.len(),
     );
     Ok(ExitCode::SUCCESS)
-}
-
-/// The sim-derived half of the live bench output (byte-stable rows).
-fn live_artifact_table(a: &LiveBenchArtifact) -> Table {
-    let mut t = Table::new(
-        &format!(
-            "live scaling `{}` (sim-derived; identical rows = identical partitioned work)",
-            a.spec.name
-        ),
-        &[
-            "shards",
-            "arrivals",
-            "completed",
-            "within-SLO",
-            "p50 TTFT (s)",
-            "p99 TTFT (s)",
-            "events",
-            "per-shard completed",
-        ],
-    );
-    for r in &a.rows {
-        t.row(vec![
-            r.shards.to_string(),
-            r.arrivals.to_string(),
-            r.completed.to_string(),
-            r.within_slo.to_string(),
-            fmt_f(r.p50_ttft, 4),
-            fmt_f(r.p99_ttft, 4),
-            r.events.to_string(),
-            r.per_shard_completed
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("/"),
-        ]);
-    }
-    t
-}
-
-/// The wall-clock half of the live bench output (never byte-compared).
-fn live_timing_table(rows: &[LiveBenchTiming]) -> Table {
-    let mut t = Table::new(
-        "live scaling timing (wall-clock; never enters artifacts)",
-        &["shards", "wall (s)", "QPS", "scaling"],
-    );
-    for r in rows {
-        t.row(vec![
-            r.shards.to_string(),
-            fmt_f(r.wall_secs, 3),
-            fmt_f(r.qps, 0),
-            format!("{:.2}x", r.scaling),
-        ]);
-    }
-    t
-}
-
-/// `fleet bench --live`: serve the pinned (or given) workload at each
-/// shard count, write the byte-stable scaling artifact, and gate the
-/// 2-shard QPS scaling against its floor.
-fn cmd_bench_live(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
-    let spec_path = take_flag_value(&mut args, "--spec")?;
-    let out = take_flag_value(&mut args, "--out")?;
-    let shard_counts: Vec<u32> = match take_flag_value(&mut args, "--shards")? {
-        Some(v) => v
-            .split(',')
-            .map(str::parse)
-            .collect::<Result<_, _>>()
-            .map_err(|_| {
-                eprintln!("--shards needs a comma-separated integer list (e.g. 1,2,4)");
-                ExitCode::from(1)
-            })?,
-        None => vec![1, 2, 4],
-    };
-    let min_scaling = match take_flag_value(&mut args, "--min-scaling")? {
-        Some(v) => v.parse::<f64>().map_err(|_| {
-            eprintln!("--min-scaling needs a number (e.g. 1.6)");
-            ExitCode::from(1)
-        })?,
-        None => 1.6,
-    };
-    let horizon = match take_flag_value(&mut args, "--horizon")? {
-        Some(v) => Some(v.parse::<f64>().map_err(|_| {
-            eprintln!("--horizon needs a number of seconds");
-            ExitCode::from(1)
-        })?),
-        None => None,
-    };
-    let rate = match take_flag_value(&mut args, "--rate")? {
-        Some(v) => Some(v.parse::<f64>().map_err(|_| {
-            eprintln!("--rate needs a number (requests/second)");
-            ExitCode::from(1)
-        })?),
-        None => None,
-    };
-    let json = take_flag(&mut args, "--json");
-    if !args.is_empty() {
-        return Err(usage());
-    }
-
-    let mut spec = match spec_path {
-        Some(p) => serde_json::from_str::<ServeSpec>(&read(&p)?).map_err(|e| {
-            eprintln!("cannot parse serve spec {p}: {e}");
-            ExitCode::from(1)
-        })?,
-        None => pinned_live_spec(),
-    };
-    if let Some(h) = horizon {
-        spec.horizon_secs = h;
-    }
-    if let Some(r) = rate {
-        spec.rate = r;
-    }
-    spec.validate().map_err(|e| {
-        eprintln!("{e}");
-        ExitCode::from(1)
-    })?;
-
-    eprintln!(
-        "live bench `{}` at shard counts {shard_counts:?}...",
-        spec.name
-    );
-    let setup = PaperSetup::for_model(spec.model);
-    let outcome = run_live_bench(&spec, &shard_counts, &setup).map_err(|e| {
-        eprintln!("{e}");
-        ExitCode::from(1)
-    })?;
-
-    // With --json, stdout is exactly the gate report (the `trace
-    // profile --json` convention); tables move to stderr.
-    let tables = format!(
-        "{}{}",
-        live_artifact_table(&outcome.artifact).render(),
-        live_timing_table(&outcome.timing).render(),
-    );
-    if json {
-        eprint!("{tables}");
-    } else {
-        print!("{tables}");
-    }
-
-    let out_path = out.unwrap_or_else(|| format!("{}.live.json", spec.name));
-    write(&out_path, &outcome.artifact.to_json())?;
-    eprintln!(
-        "wrote live bench artifact to {out_path} (wall-clock excluded: artifact is byte-stable)"
-    );
-
-    // The QPS gate: 2-shard scaling vs the 1-shard base row.
-    let base = outcome.timing.first().filter(|t| t.shards == 1);
-    let two = outcome.timing.iter().find(|t| t.shards == 2);
-    let (Some(_), Some(two)) = (base, two) else {
-        eprintln!("note: scaling gate skipped (needs a leading 1-shard row and a 2-shard row)");
-        return Ok(ExitCode::SUCCESS);
-    };
-    let gate = SpeedupGate::new("live_scaling_2x", two.scaling, min_scaling);
-    let line = format!(
-        "live scaling at 2 shards: {:.2}x (floor {:.2}x)",
-        gate.measured, gate.floor
-    );
-    if json {
-        eprintln!("{line}");
-    } else {
-        println!("{line}");
-    }
-    let report = SpeedupGateReport::new(vec![gate]);
-    if json {
-        print!("{}", report.to_json());
-    }
-    for g in report.gates.iter().filter(|g| !g.passed) {
-        eprintln!(
-            "ERROR: {} {:.2}x below the {:.2}x floor",
-            g.name, g.measured, g.floor
-        );
-    }
-    Ok(if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
 }
 
 fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
@@ -1208,115 +984,26 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 })?,
                 None => 1500,
             };
-            let min_speedup = match take_flag_value(&mut args, "--min-speedup")? {
-                Some(v) => v.parse::<f64>().map_err(|_| {
-                    eprintln!("--min-speedup needs a number");
-                    ExitCode::from(1)
-                })?,
-                None => 2.0,
-            };
-            let json = take_flag(&mut args, "--json");
             if !args.is_empty() {
                 return Err(usage());
             }
             eprintln!("profiling engine dispatch at {instances} single-stage instances...");
-            let (metrics, observed) = profile_on_tick(instances);
-            let dispatch_table = observed
-                .profiler
-                .table(&format!(
-                    "engine dispatch self-time (wall) at {instances} instances"
-                ))
-                .render();
-            // With --json, stdout is exactly the gate report; everything
-            // human-facing moves to stderr.
-            if json {
-                eprint!("{dispatch_table}");
-            } else {
-                println!("{dispatch_table}");
-            }
-            eprintln!(
-                "policy.on_tick: {} calls, {:.2} ms total (wall-clock; never enters artifacts)",
-                observed.profiler.calls("policy.on_tick"),
-                observed.profiler.total_secs("policy.on_tick") * 1e3,
+            let (metrics, profiler) = profile_dispatch(instances).map_err(|e| {
+                eprintln!("{e}");
+                ExitCode::from(1)
+            })?;
+            println!(
+                "{}",
+                profiler
+                    .table(&format!(
+                        "engine dispatch wall time per event kind at {instances} instances"
+                    ))
+                    .render()
             );
             if metrics.truncated {
                 eprintln!("warning: profile run hit its step budget");
             }
-            // The control-plane comparisons, each indexed vs naive with
-            // byte-identical decisions and only on_tick's wall-clock
-            // self-time differing:
-            //   on_tick_speedup — the PR-8 warm-start mirror against the
-            //     from-scratch fleet scan, under light traffic;
-            //   plan_cache_speedup — the calm-tick plan cache against the
-            //     per-tick refactor-pass walk, over a pinned fully
-            //     off-target fleet that never acts.
-            let mut gates = Vec::new();
-            for (gate_name, what, run) in [
-                (
-                    "on_tick_speedup",
-                    "pinned fleet, light traffic",
-                    profile_on_tick_flexpipe
-                        as fn(u32, AdmissionMode) -> (flexpipe_fleet::CellMetrics, ObservedRun),
-                ),
-                (
-                    "plan_cache_speedup",
-                    "calm off-target fleet, refactor pass",
-                    profile_on_tick_calm
-                        as fn(u32, AdmissionMode) -> (flexpipe_fleet::CellMetrics, ObservedRun),
-                ),
-            ] {
-                eprintln!(
-                    "profiling FlexPipe on_tick at {instances} replicas \
-                     ({what}; indexed vs naive)..."
-                );
-                let mut secs = [0.0f64; 2];
-                for (i, mode) in [AdmissionMode::Indexed, AdmissionMode::NaiveScan]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let (m, o) = run(instances, mode);
-                    secs[i] = o.profiler.total_secs("policy.on_tick");
-                    eprintln!(
-                        "  {:>7}: {} on_tick calls, {:.2} ms total self-time",
-                        if mode == AdmissionMode::Indexed {
-                            "indexed"
-                        } else {
-                            "naive"
-                        },
-                        o.profiler.calls("policy.on_tick"),
-                        secs[i] * 1e3,
-                    );
-                    if m.truncated {
-                        eprintln!("warning: control-plane profile hit its step budget");
-                    }
-                }
-                let speedup = secs[1] / secs[0].max(1e-12);
-                let line = format!(
-                    "flexpipe {gate_name} at {instances} instances: \
-                     {speedup:.2}x (floor {min_speedup:.2}x)"
-                );
-                if json {
-                    eprintln!("{line}");
-                } else {
-                    println!("{line}");
-                }
-                gates.push(SpeedupGate::new(gate_name, speedup, min_speedup));
-            }
-            let report = SpeedupGateReport::new(gates);
-            if json {
-                print!("{}", report.to_json());
-            }
-            for g in report.gates.iter().filter(|g| !g.passed) {
-                eprintln!(
-                    "ERROR: {} {:.2}x below the {:.2}x floor",
-                    g.name, g.measured, g.floor
-                );
-            }
-            Ok(if report.passed() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(2)
-            })
+            Ok(ExitCode::SUCCESS)
         }
         other => {
             eprintln!("unknown trace verb `{other}` (expected record, summarize, diff or profile)");

@@ -265,110 +265,11 @@ pub fn gate(baseline: &FleetReport, candidate: &FleetReport, cfg: &GateConfig) -
     }
 }
 
-/// Format version stamped into every [`SpeedupGateReport`].
-pub const SPEEDUP_GATE_VERSION: u32 = 1;
-
-/// One wall-clock measurement compared against its floor: the shared
-/// shape of the `fleet trace profile` speedup gates and the
-/// `fleet bench --live` shard-scaling gate, so CI parses one format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpeedupGate {
-    /// Stable gate name (e.g. `on_tick_speedup`, `live_scaling_2x`).
-    pub name: String,
-    /// The measured ratio (a speedup or scaling factor).
-    pub measured: f64,
-    /// The floor the measurement must meet or exceed.
-    pub floor: f64,
-    /// `measured >= floor`.
-    pub passed: bool,
-}
-
-impl SpeedupGate {
-    /// Builds a gate entry, deriving `passed` from the comparison.
-    pub fn new(name: impl Into<String>, measured: f64, floor: f64) -> Self {
-        SpeedupGate {
-            name: name.into(),
-            measured,
-            floor,
-            passed: measured >= floor,
-        }
-    }
-}
-
-/// The versioned `--json` gate output. Carries *wall-clock* ratios and
-/// is therefore never byte-stable; like `campaign.timing.json` it stays
-/// outside every byte-compared artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpeedupGateReport {
-    /// Format version ([`SPEEDUP_GATE_VERSION`]).
-    pub version: u32,
-    /// The gates, in evaluation order.
-    pub gates: Vec<SpeedupGate>,
-}
-
-impl SpeedupGateReport {
-    /// Wraps gate entries in the current format version.
-    pub fn new(gates: Vec<SpeedupGate>) -> Self {
-        SpeedupGateReport {
-            version: SPEEDUP_GATE_VERSION,
-            gates,
-        }
-    }
-
-    /// True when every gate passed.
-    pub fn passed(&self) -> bool {
-        self.gates.iter().all(|g| g.passed)
-    }
-
-    /// Pretty JSON with a trailing newline.
-    pub fn to_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(self).expect("gate report serializes");
-        s.push('\n');
-        s
-    }
-
-    /// Parses a report, rejecting other format versions explicitly.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let report: SpeedupGateReport =
-            serde_json::from_str(s).map_err(|e| format!("speedup gate report: {e}"))?;
-        if report.version != SPEEDUP_GATE_VERSION {
-            return Err(format!(
-                "speedup gate report is format version {} (this build expects {})",
-                report.version, SPEEDUP_GATE_VERSION
-            ));
-        }
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::{CellMetrics, CellResult, FleetReport};
     use crate::spec::SweepSpec;
-
-    #[test]
-    fn speedup_gate_passes_derive_from_the_floor_comparison() {
-        assert!(SpeedupGate::new("g", 2.0, 2.0).passed);
-        assert!(!SpeedupGate::new("g", 1.99, 2.0).passed);
-        let report = SpeedupGateReport::new(vec![
-            SpeedupGate::new("a", 3.0, 2.0),
-            SpeedupGate::new("b", 1.0, 2.0),
-        ]);
-        assert!(!report.passed());
-    }
-
-    #[test]
-    fn speedup_gate_json_round_trips_and_rejects_foreign_versions() {
-        let report = SpeedupGateReport::new(vec![SpeedupGate::new("on_tick_speedup", 4.2, 2.0)]);
-        let parsed = SpeedupGateReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed, report);
-
-        let mut foreign = report.clone();
-        foreign.version = 99;
-        let err = SpeedupGateReport::from_json(&foreign.to_json()).unwrap_err();
-        assert!(err.contains("format version 99"), "{err}");
-    }
 
     fn metrics(slo: f64, p99: f64) -> CellMetrics {
         CellMetrics {

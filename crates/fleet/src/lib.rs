@@ -42,7 +42,8 @@
 //! - [`trace`] — structured engine traces as fleet artifacts
 //!   (`fleet trace`): record a cell's virtual-time JSONL trace,
 //!   summarize or structurally diff trace files, and profile the
-//!   engine's own dispatch self-time at fleet scale;
+//!   engine's dispatch per event kind at fleet scale, timed from outside
+//!   the engine;
 //! - [`toml_lite`] — the offline TOML-subset reader.
 //!
 //! The `flexpipe-fleet` binary wraps it all into `init` / `run` /
@@ -72,8 +73,8 @@ pub mod trace;
 pub mod worker;
 
 pub use bench::{
-    derive_bench_seed, hot_path_speedups, hot_path_table, run_bench, run_bench_cell, BenchCell,
-    BenchCellResult, BenchReport, BenchSpec, BenchTiming, HotPathRow,
+    derive_bench_seed, run_bench, run_bench_cell, BenchCell, BenchCellResult, BenchReport,
+    BenchSpec, BenchTiming,
 };
 pub use cache::{
     cache_salt, canonical_json, canonicalize, cell_key, key_shard, CacheStats, CellCache,
@@ -83,9 +84,7 @@ pub use campaign::{
     CampaignManifest, CampaignOptions, CampaignPlan, CampaignResult, CampaignSpec, CampaignStats,
     CampaignTiming, CellTiming, EntryKind, MissingCell, SpecReport,
 };
-pub use gate::{
-    gate, GateConfig, GateOutcome, Regression, SpeedupGate, SpeedupGateReport, SPEEDUP_GATE_VERSION,
-};
+pub use gate::{gate, GateConfig, GateOutcome, Regression};
 pub use report::{summarize_cell, CellMetrics, CellResult, FleetReport, PolicySummary};
 pub use runner::{
     realize_disruptions, run_cell, run_cell_in_mode, run_cell_observed, run_sweep, FleetError,
@@ -99,10 +98,7 @@ pub use store::{
     open_store, CacheStore, ClaimInfo, ClaimOutcome, GcOutcome, StoreKind, StoredObject,
     DEFAULT_CLAIM_TTL,
 };
-pub use trace::{
-    find_cell, profile_on_tick, profile_on_tick_calm, profile_on_tick_flexpipe, profile_spec,
-    profile_spec_calm, profile_spec_flexpipe, record_cell_trace,
-};
+pub use trace::{find_cell, profile_dispatch, profile_spec, record_cell_trace};
 pub use worker::{run_worker, WorkerOptions, WorkerOutcome};
 
 use serde::Deserialize;

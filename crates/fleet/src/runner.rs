@@ -99,9 +99,8 @@ pub fn run_cell_in_mode(
     summarize_cell(&report, spec.warmup_secs, spec.horizon_secs, offered)
 }
 
-/// Executes one cell with observability armed: the engine records a
-/// structured trace under `trace` and (optionally) profiles its own event
-/// dispatch. Returns the same deterministic metrics as [`run_cell_in_mode`]
+/// Executes one cell with the engine recording a structured trace under
+/// `trace`. Returns the same deterministic metrics as [`run_cell_in_mode`]
 /// — tracing is observation-only — plus the full [`ObservedRun`].
 pub fn run_cell_observed(
     spec: &SweepSpec,
@@ -109,11 +108,9 @@ pub fn run_cell_observed(
     setup: &PaperSetup,
     admission: AdmissionMode,
     trace: TraceMode,
-    profile: bool,
 ) -> (CellMetrics, ObservedRun) {
     let (mut engine, offered) = build_cell_engine(spec, cell, setup, admission);
     engine.set_trace(trace);
-    engine.set_profiler(profile);
     let observed = engine.run_observed();
     let metrics = summarize_cell(
         &observed.report,
@@ -125,9 +122,9 @@ pub fn run_cell_observed(
 }
 
 /// Builds a cell's fully-configured engine plus its offered-load count
-/// (post-warmup arrivals). Shared by the plain and the observed cell
-/// runners so both execute the identical scenario.
-fn build_cell_engine(
+/// (post-warmup arrivals). Shared by the plain, observed and profiled
+/// cell runners so all three execute the identical scenario.
+pub(crate) fn build_cell_engine(
     spec: &SweepSpec,
     cell: &Cell,
     setup: &PaperSetup,

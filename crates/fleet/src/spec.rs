@@ -122,10 +122,9 @@ pub enum PolicySpec {
     /// FlexPipe pinned at a standing fleet of `replicas`: sized as if
     /// historical demand required exactly that many replicas and with
     /// scale-in patience disabled, so the full Algorithm-1 control loop
-    /// runs every tick over a fleet that never shrinks. This is the
-    /// control-plane profiling configuration (`fleet trace profile`),
-    /// where `policy.on_tick` self-time at fleet scale is the
-    /// measurement.
+    /// runs every tick over a fleet that never shrinks. The repository
+    /// benchmark's `fleet-1k` workload deploys its standing fleet this
+    /// way.
     FlexPipeFleet {
         /// Standing replica count the policy is pinned at.
         replicas: u32,
@@ -135,9 +134,9 @@ pub enum PolicySpec {
     /// hysteresis set unreachably high: under near-zero traffic every
     /// control tick is calm, the whole fleet is off-target, and the
     /// Algorithm-1 refactor pass walks it end to end without ever
-    /// acting. This is the calm-tick plan-cache profiling configuration
-    /// (`fleet trace profile`): the warm path's cached walk versus the
-    /// naive reference's full walk, at fleet scale.
+    /// acting: the calm-tick regime the plan cache collapses to
+    /// O(#levels), checked against the naive reference's full walk in
+    /// `fleet/tests/on_tick_equivalence.rs`.
     FlexPipeCalm {
         /// Standing replica count the policy is pinned at.
         replicas: u32,

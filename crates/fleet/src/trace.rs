@@ -1,21 +1,25 @@
 //! `fleet trace`: structured engine traces as a first-class fleet
 //! artifact — record a cell's trace, summarize a trace file, diff two
-//! traces structurally, and profile the engine's own dispatch self-time.
+//! traces structurally, and profile the engine's dispatch per event kind.
 //!
 //! Traces are virtual-time-stamped JSONL (see [`flexpipe_obs`]): byte
 //! stable for a given (spec, cell) at any thread count, which makes
 //! `fleet trace diff` a meaningful equivalence check — the seed of the
 //! future trace-equivalence checker subsystem. Profiling is the one
-//! deliberately wall-clock piece and stays outside every artifact,
-//! like bench timings.
+//! deliberately wall-clock piece: it times the engine from outside, one
+//! step at a time, and stays outside every artifact, like bench timings.
+
+use std::ops::RangeInclusive;
+use std::time::Instant;
 
 use flexpipe_bench::PaperSetup;
 use flexpipe_model::ModelId;
-use flexpipe_serving::{AdmissionMode, ObservedRun, TraceMode};
+use flexpipe_obs::Profiler;
+use flexpipe_serving::{AdmissionMode, ObservedRun, SteppedEngine, TraceMode};
 use flexpipe_workload::LengthProfile;
 
-use crate::report::CellMetrics;
-use crate::runner::run_cell_observed;
+use crate::report::{summarize_cell, CellMetrics};
+use crate::runner::{build_cell_engine, run_cell_observed, FleetError};
 use crate::spec::{BackgroundShape, Cell, ClusterShape, DisruptionShape, PolicySpec, SweepSpec};
 
 /// Finds the cell of `spec` with the given [`Cell::id`], if any.
@@ -32,17 +36,29 @@ pub fn record_cell_trace(
     mode: TraceMode,
 ) -> (CellMetrics, ObservedRun) {
     let setup = PaperSetup::for_model(spec.model);
-    run_cell_observed(spec, cell, &setup, admission, mode, false)
+    run_cell_observed(spec, cell, &setup, admission, mode)
 }
+
+/// The fleet sizes [`profile_spec`] accepts: at least one replica, and
+/// few enough that the profile's cluster (`instances + 64` GPUs) stays
+/// far from `u32` overflow.
+pub const PROFILE_INSTANCES: RangeInclusive<u32> = 1..=100_000;
 
 /// The dispatch-profile scenario: `instances` single-stage Llama2-7B
 /// replicas (the model's lattice has a 1-stage level, so one GPU each)
 /// on a cluster sized with headroom, under light traffic so control
-/// ticks and admission dominate the event mix. This is the fleet-scale
-/// configuration the `policy.on_tick` self-time numbers are quoted at.
-pub fn profile_spec(instances: u32) -> SweepSpec {
+/// ticks and admission dominate the event mix. Fails when `instances`
+/// lies outside [`PROFILE_INSTANCES`].
+pub fn profile_spec(instances: u32) -> Result<SweepSpec, FleetError> {
+    if !PROFILE_INSTANCES.contains(&instances) {
+        return Err(FleetError(format!(
+            "the profile needs between {} and {} instances, got {instances}",
+            PROFILE_INSTANCES.start(),
+            PROFILE_INSTANCES.end()
+        )));
+    }
     let total_gpus = instances + 64;
-    SweepSpec {
+    Ok(SweepSpec {
         name: format!("ontick-profile-{instances}"),
         model: ModelId::Llama2_7B,
         seed: 7,
@@ -66,119 +82,64 @@ pub fn profile_spec(instances: u32) -> SweepSpec {
         }],
         disruptions: vec![DisruptionShape::None],
         replicas: 1,
-    }
+    })
 }
 
-/// Runs the dispatch-profile scenario with the self-time profiler
-/// enabled (trace recorder off: this measures, it doesn't record).
-pub fn profile_on_tick(instances: u32) -> (CellMetrics, ObservedRun) {
-    let spec = profile_spec(instances);
+/// Profiles engine dispatch on the [`profile_spec`] scenario from
+/// outside the engine. The cell is built exactly as
+/// [`crate::run_cell`] builds it and driven one event at a time through
+/// [`SteppedEngine::step`] in canonical order (bit-identical to
+/// `Engine::run`); each step's wall time, read from the end of the
+/// previous step, is charged to the event kind the step returns.
+/// Returns the cell's deterministic metrics — equal to `run_cell`'s —
+/// and the per-kind wall-clock profile.
+pub fn profile_dispatch(instances: u32) -> Result<(CellMetrics, Profiler), FleetError> {
+    let spec = profile_spec(instances)?;
     let cell = spec.expand().remove(0);
     let setup = PaperSetup::for_model(spec.model);
-    run_cell_observed(
-        &spec,
-        &cell,
-        &setup,
-        AdmissionMode::default(),
-        TraceMode::Off,
-        true,
-    )
-}
-
-/// The control-plane profile scenario: FlexPipe's real Algorithm-1 loop
-/// pinned at a standing fleet of `instances` replicas (see
-/// [`PolicySpec::FlexPipeFleet`]) under light traffic, so `on_tick`'s
-/// own fleet walk dominates its self-time. Cluster sized for 4-stage
-/// replicas plus headroom.
-pub fn profile_spec_flexpipe(instances: u32) -> SweepSpec {
-    let total_gpus = instances * 4 + 64;
-    SweepSpec {
-        name: format!("flexpipe-ontick-profile-{instances}"),
-        policies: vec![PolicySpec::FlexPipeFleet {
-            replicas: instances,
-        }],
-        clusters: vec![ClusterShape::Custom {
-            nodes: total_gpus.div_ceil(8),
-            total_gpus,
-            servers_per_rack: 8,
-        }],
-        // Long horizon: the measurement is steady-state tick cost, so the
-        // one unavoidable O(fleet) tick right after the initial deployment
-        // must amortize away.
-        horizon_secs: 120.0,
-        ..profile_spec(instances)
+    let (engine, offered) = build_cell_engine(&spec, &cell, &setup, AdmissionMode::default());
+    let mut stepped = SteppedEngine::new(engine);
+    let mut profiler = Profiler::default();
+    let mut last = Instant::now();
+    while let Some(kind) = stepped.step(0) {
+        let now = Instant::now();
+        profiler.observe(kind, (now - last).as_secs_f64());
+        last = now;
     }
-}
-
-/// Profiles FlexPipe's `on_tick` at fleet scale under an explicit
-/// admission mode — the measurement behind the incremental-solver claim:
-/// `Indexed` applies the engine's dirty-set deltas to a warm mirror,
-/// `NaiveScan` re-snapshots the whole fleet every tick.
-pub fn profile_on_tick_flexpipe(
-    instances: u32,
-    admission: AdmissionMode,
-) -> (CellMetrics, ObservedRun) {
-    let spec = profile_spec_flexpipe(instances);
-    let cell = spec.expand().remove(0);
-    let setup = PaperSetup::for_model(spec.model);
-    run_cell_observed(&spec, &cell, &setup, admission, TraceMode::Off, true)
-}
-
-/// The calm-tick plan-cache profile scenario
-/// ([`PolicySpec::FlexPipeCalm`]): `instances` replicas deployed 8-stage
-/// deep while near-zero traffic keeps the Eq. (4) target at the coarse
-/// end, so the entire fleet is off-target on every calm tick and the
-/// refactor pass walks it end to end without ever acting. Under
-/// `NaiveScan` that walk is paid every tick; under `Indexed` the plan
-/// cache re-proves it a no-op in O(#levels) — the speedup this scenario
-/// exists to measure.
-pub fn profile_spec_calm(instances: u32) -> SweepSpec {
-    let total_gpus = instances * 8 + 64;
-    SweepSpec {
-        name: format!("flexpipe-calm-profile-{instances}"),
-        policies: vec![PolicySpec::FlexPipeCalm {
-            replicas: instances,
-            stages: 8,
-        }],
-        clusters: vec![ClusterShape::Custom {
-            nodes: total_gpus.div_ceil(8),
-            total_gpus,
-            servers_per_rack: 8,
-        }],
-        horizon_secs: 120.0,
-        // Near-zero (validation requires positive): the ~1 expected
-        // arrival leaves all but a couple of ticks delta-free.
-        rates: vec![0.01],
-        ..profile_spec(instances)
-    }
-}
-
-/// Profiles the calm-tick refactor pass at fleet scale under an explicit
-/// admission mode — the measurement behind the plan-cache claim.
-pub fn profile_on_tick_calm(
-    instances: u32,
-    admission: AdmissionMode,
-) -> (CellMetrics, ObservedRun) {
-    let spec = profile_spec_calm(instances);
-    let cell = spec.expand().remove(0);
-    let setup = PaperSetup::for_model(spec.model);
-    run_cell_observed(&spec, &cell, &setup, admission, TraceMode::Off, true)
+    let observed = stepped.finish();
+    let metrics = summarize_cell(
+        &observed.report,
+        spec.warmup_secs,
+        spec.horizon_secs,
+        offered,
+    );
+    Ok((metrics, profiler))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_cell;
 
     #[test]
     fn profile_spec_validates_and_has_one_cell() {
-        let spec = profile_spec(8);
+        let spec = profile_spec(8).unwrap();
         assert!(spec.validate().is_ok());
         assert_eq!(spec.expand().len(), 1);
     }
 
     #[test]
+    fn profile_spec_rejects_empty_and_overflowing_fleets() {
+        for instances in [0, PROFILE_INSTANCES.end() + 1, u32::MAX - 63, u32::MAX] {
+            let err = profile_spec(instances).unwrap_err();
+            assert!(err.0.contains(&instances.to_string()), "{err}");
+        }
+        assert!(profile_spec(*PROFILE_INSTANCES.end()).is_ok());
+    }
+
+    #[test]
     fn find_cell_matches_ids_exactly() {
-        let spec = profile_spec(8);
+        let spec = profile_spec(8).unwrap();
         let cells = spec.expand();
         let id = cells[0].id();
         assert_eq!(find_cell(&spec, &id), Some(cells[0].clone()));
@@ -186,52 +147,20 @@ mod tests {
     }
 
     #[test]
-    fn flexpipe_profile_pins_the_fleet_and_profiles_on_tick() {
-        let spec = profile_spec_flexpipe(6);
-        assert!(spec.validate().is_ok());
-        for mode in [AdmissionMode::Indexed, AdmissionMode::NaiveScan] {
-            let (metrics, observed) = profile_on_tick_flexpipe(6, mode);
-            assert!(!metrics.truncated);
-            // The FlexPipeFleet policy holds the standing fleet at exactly
-            // the pinned replica count: nothing retires, nothing re-spawns.
-            assert_eq!(metrics.spawns, 6, "fleet must pin at 6 replicas");
-            assert!(metrics.completed > 0, "profile scenario must serve");
-            assert!(observed.profiler.calls("policy.on_tick") > 0);
-        }
-    }
-
-    #[test]
-    fn calm_profile_pins_an_off_target_fleet_that_never_acts() {
-        let spec = profile_spec_calm(4);
-        assert!(spec.validate().is_ok());
-        let mut per_mode = Vec::new();
-        for mode in [AdmissionMode::Indexed, AdmissionMode::NaiveScan] {
-            let (metrics, observed) = profile_on_tick_calm(4, mode);
-            assert!(!metrics.truncated);
-            assert_eq!(metrics.spawns, 4, "fleet must pin at 4 replicas");
-            assert_eq!(
-                metrics.refactors, 0,
-                "unwinnable hysteresis must keep the walk action-free"
-            );
-            assert!(observed.profiler.calls("policy.on_tick") > 0);
-            per_mode.push(metrics);
-        }
-        // The plan cache is a pure optimization: skipping the walk must
-        // leave every metric identical to the naive reference's.
-        assert_eq!(per_mode[0], per_mode[1]);
-    }
-
-    #[test]
-    fn small_profile_run_reports_on_tick_self_time() {
-        let (metrics, observed) = profile_on_tick(4);
+    fn small_profile_matches_run_cell_and_charges_every_step() {
+        let (metrics, profiler) = profile_dispatch(4).unwrap();
         assert!(!metrics.truncated);
         assert!(metrics.completed > 0, "profile scenario must serve traffic");
-        assert!(
-            observed.profiler.calls("policy.on_tick") > 0,
-            "every control tick must hit the profiled policy scope"
-        );
-        assert!(observed.profiler.calls("control_tick") > 0);
-        // The recorder stayed off: measurement, not recording.
-        assert!(observed.trace.is_empty());
+        // Stepping from outside is observation-only: the cell's metrics
+        // equal the production runner's for the same cell.
+        let spec = profile_spec(4).unwrap();
+        let setup = PaperSetup::for_model(spec.model);
+        assert_eq!(metrics, run_cell(&spec, &spec.expand()[0], &setup));
+        // Every fired event is charged to exactly one kind.
+        let charged: u64 = profiler.scopes().map(|(_, s)| s.calls).sum();
+        assert_eq!(charged, metrics.events);
+        for kind in ["arrival", "control_tick", "stage_arrive", "stage_done"] {
+            assert!(profiler.calls(kind) > 0, "no `{kind}` row");
+        }
     }
 }

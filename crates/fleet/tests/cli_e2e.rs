@@ -304,4 +304,63 @@ fn usage_errors_exit_one() {
     assert_eq!(out.status.code(), Some(1));
     let out = bin().arg("gate").arg("x.json").output().unwrap();
     assert_eq!(out.status.code(), Some(1));
+
+    // Retired wall-clock gate flags are usage errors, not silent no-ops.
+    let dir = tmp_dir("usage");
+    let bench_spec = dir.join("bench.json");
+    let out = bin()
+        .args(["bench", "init"])
+        .arg(&bench_spec)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "bench init failed: {out:?}");
+    let retired: [Vec<std::ffi::OsString>; 3] = [
+        vec![
+            "trace".into(),
+            "profile".into(),
+            "--min-speedup".into(),
+            "2".into(),
+        ],
+        vec!["bench".into(), "--live".into()],
+        vec!["bench".into(), bench_spec.into(), "--hot-paths".into()],
+    ];
+    for args in retired {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    }
+
+    // `trace profile` refuses an empty fleet and one whose cluster size
+    // would overflow.
+    for instances in ["0", "4294967295"] {
+        let out = bin()
+            .args(["trace", "profile", "--instances", instances])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--instances {instances}: {out:?}"
+        );
+        assert!(String::from_utf8_lossy(&out.stderr).contains(instances));
+    }
+
+    // A time scale so small that the run's span cannot be paced in a
+    // `Duration` is an input error, not a panic.
+    let serve_spec = dir.join("serve.json");
+    let out = bin()
+        .args(["serve", "init"])
+        .arg(&serve_spec)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "serve init failed: {out:?}");
+    let out = bin()
+        .arg("serve")
+        .arg(&serve_spec)
+        .args(["--time-scale", "1e-300", "--out-dir"])
+        .arg(dir.join("never-written"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("time scale"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

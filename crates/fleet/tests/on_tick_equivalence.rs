@@ -5,14 +5,18 @@
 //! disruption interleavings — the regime where the control plane actually
 //! refactors, scales out under pressure, retires under patience, and
 //! rebuilds after revocations, so a stale mirror entry would first change
-//! a decision here.
+//! a decision here. Two pinned standing fleets cover the other regimes:
+//! a `FlexPipeFleet` deployment under light traffic, and a calm,
+//! off-target `FlexPipeCalm` fleet where the plan cache replaces the
+//! refactor-pass walk.
 
 use std::sync::OnceLock;
 
 use flexpipe_bench::{PaperSetup, SystemId};
 use flexpipe_chaos::{Disruption, DisruptionEvent, DisruptionScript};
 use flexpipe_fleet::{
-    run_cell_in_mode, BackgroundShape, ClusterShape, DisruptionShape, PolicySpec, SweepSpec,
+    profile_spec, run_cell_in_mode, BackgroundShape, CellMetrics, ClusterShape, DisruptionShape,
+    PolicySpec, SweepSpec,
 };
 use flexpipe_model::ModelId;
 use flexpipe_serving::AdmissionMode;
@@ -104,4 +108,74 @@ proptest! {
         // The runs did real work (otherwise equality is vacuous).
         prop_assert!(completed > 0, "no cell served anything");
     }
+}
+
+/// A standing fleet of `replicas` pinned by `policy` on a cluster with
+/// `gpus_per_replica` GPUs each plus headroom, under `rate` req/s of
+/// light traffic for two simulated minutes.
+fn standing_fleet_spec(
+    policy: PolicySpec,
+    replicas: u32,
+    gpus_per_replica: u32,
+    rate: f64,
+) -> SweepSpec {
+    let total_gpus = replicas * gpus_per_replica + 64;
+    SweepSpec {
+        name: format!("standing-fleet-{}", policy.label()),
+        policies: vec![policy],
+        clusters: vec![ClusterShape::Custom {
+            nodes: total_gpus.div_ceil(8),
+            total_gpus,
+            servers_per_rack: 8,
+        }],
+        horizon_secs: 120.0,
+        rates: vec![rate],
+        ..profile_spec(replicas).expect("small fleets are in range")
+    }
+}
+
+/// Runs the spec's single cell in both modes and requires metric
+/// equality, returning the shared metrics.
+fn run_both_modes(spec: &SweepSpec) -> CellMetrics {
+    assert!(spec.validate().is_ok());
+    let cell = spec.expand().remove(0);
+    let warm = run_cell_in_mode(spec, &cell, llama_setup(), AdmissionMode::Indexed);
+    let cold = run_cell_in_mode(spec, &cell, llama_setup(), AdmissionMode::NaiveScan);
+    assert_eq!(warm, cold, "cell {} diverged between modes", cell.id());
+    warm
+}
+
+#[test]
+fn flexpipe_fleet_pins_at_exactly_n_replicas() {
+    let spec = standing_fleet_spec(PolicySpec::FlexPipeFleet { replicas: 6 }, 6, 4, 20.0);
+    let metrics = run_both_modes(&spec);
+    assert!(!metrics.truncated);
+    // The standing fleet holds at exactly the pinned replica count:
+    // nothing retires, nothing re-spawns.
+    assert_eq!(metrics.spawns, 6, "fleet must pin at 6 replicas");
+    assert!(metrics.completed > 0, "the fleet must serve");
+}
+
+#[test]
+fn calm_off_target_fleet_never_refactors_and_matches_naive() {
+    // Near-zero traffic (validation requires a positive rate): the ~1
+    // expected arrival leaves all but a couple of ticks delta-free, so
+    // the indexed mode re-proves the walk a no-op from its plan cache
+    // while the naive reference walks the fleet every tick.
+    let spec = standing_fleet_spec(
+        PolicySpec::FlexPipeCalm {
+            replicas: 4,
+            stages: 8,
+        },
+        4,
+        8,
+        0.01,
+    );
+    let metrics = run_both_modes(&spec);
+    assert!(!metrics.truncated);
+    assert_eq!(metrics.spawns, 4, "fleet must pin at 4 replicas");
+    assert_eq!(
+        metrics.refactors, 0,
+        "unwinnable hysteresis must keep the walk action-free"
+    );
 }

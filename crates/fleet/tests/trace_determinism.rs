@@ -92,8 +92,7 @@ fn trace_modes_never_perturb_metrics_in_either_engine_mode() {
         for admission in [AdmissionMode::Indexed, AdmissionMode::NaiveScan] {
             let plain = run_cell_in_mode(&spec, &cell, setup, admission);
             for mode in [TraceMode::Off, TraceMode::Ring(64), TraceMode::Full] {
-                let (metrics, observed) =
-                    run_cell_observed(&spec, &cell, setup, admission, mode, false);
+                let (metrics, observed) = run_cell_observed(&spec, &cell, setup, admission, mode);
                 assert_eq!(
                     plain,
                     metrics,
@@ -201,13 +200,13 @@ proptest! {
             for admission in [AdmissionMode::Indexed, AdmissionMode::NaiveScan] {
                 let plain = run_cell_in_mode(&spec, &cell, setup, admission);
                 let (traced, first) =
-                    run_cell_observed(&spec, &cell, setup, admission, TraceMode::Full, false);
+                    run_cell_observed(&spec, &cell, setup, admission, TraceMode::Full);
                 prop_assert_eq!(
                     &plain, &traced,
                     "tracing perturbed cell {} under {:?}", cell.id(), admission
                 );
                 let (_, second) =
-                    run_cell_observed(&spec, &cell, setup, admission, TraceMode::Full, false);
+                    run_cell_observed(&spec, &cell, setup, admission, TraceMode::Full);
                 prop_assert!(
                     first_divergence(&first.trace.to_jsonl(), &second.trace.to_jsonl()).is_none(),
                     "re-recording cell {} diverged", cell.id()
@@ -248,14 +247,8 @@ fn committed_spec_reports_are_byte_identical_in_every_trace_mode() {
                 .expand()
                 .into_iter()
                 .map(|cell| {
-                    let (metrics, _) = run_cell_observed(
-                        &spec,
-                        &cell,
-                        &setup,
-                        AdmissionMode::default(),
-                        mode,
-                        false,
-                    );
+                    let (metrics, _) =
+                        run_cell_observed(&spec, &cell, &setup, AdmissionMode::default(), mode);
                     CellResult { cell, metrics }
                 })
                 .collect();

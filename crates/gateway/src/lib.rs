@@ -17,10 +17,7 @@
 //!   stream onto `N` shard threads, each an independent engine
 //!   partition driven through `flexpipe_serving::LiveEngine`;
 //!   [`serve()`](serve::serve) records, [`replay()`](serve::replay)
-//!   re-executes a recording byte-for-byte;
-//! - [`bench`](mod@bench) — the shard-scaling benchmark behind
-//!   `fleet bench --live`: byte-stable per-shard-count artifact plus
-//!   wall-clock QPS rows for the CI scaling gate.
+//!   re-executes a recording byte-for-byte.
 //!
 //! # Determinism contract
 //!
@@ -33,17 +30,12 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod pacer;
 pub mod record;
 pub mod router;
 pub mod serve;
 mod shard;
 
-pub use bench::{
-    pinned_live_spec, run_live_bench, LiveBenchArtifact, LiveBenchOutcome, LiveBenchRow,
-    LiveBenchTiming, LIVE_BENCH_VERSION,
-};
 pub use pacer::Pacer;
 pub use record::{
     cross_shard_check_spec, RecordedArrival, Recording, ServeSpec, ShardPolicy, RECORDING_VERSION,

@@ -24,8 +24,7 @@ use crate::GatewayError;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ShardPolicy {
     /// A fixed fleet of `replicas` pipelines (fleet-wide total; split
-    /// evenly across shards) at `stages` stages each. The pinned
-    /// configuration of the live scaling gate.
+    /// evenly across shards) at `stages` stages each.
     Static {
         /// Pipeline depth.
         stages: u32,
@@ -75,8 +74,8 @@ pub struct ServeSpec {
     /// Per-shard engine step budget.
     pub max_events: u64,
     /// Decode micro-batch size (smaller batches mean more engine passes
-    /// per token — the knob the scaling bench uses to keep engine
-    /// execution dominant over orchestration overhead).
+    /// per token, keeping engine execution dominant over orchestration
+    /// overhead).
     pub ubatch_size: u32,
 }
 

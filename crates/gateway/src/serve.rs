@@ -28,6 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
+use std::time::Duration;
 
 use crate::pacer::Pacer;
 use crate::record::{RecordedArrival, Recording, ServeSpec, RECORDING_VERSION};
@@ -112,6 +113,15 @@ pub fn serve_with(
             if !(time_scale.is_finite() && time_scale > 0.0) {
                 return Err(GatewayError(format!(
                     "time scale must be finite and positive, got {time_scale}"
+                )));
+            }
+            // The pacer sleeps up to span ÷ scale wall seconds, which
+            // must fit a `Duration`.
+            let span = spec.span_secs();
+            if Duration::try_from_secs_f64(span / time_scale).is_err() {
+                return Err(GatewayError(format!(
+                    "time scale {time_scale:?} stretches the {span} s arrival span \
+                     past the longest wall-clock wait"
                 )));
             }
             Some(Pacer::new(time_scale))
@@ -429,7 +439,30 @@ impl ServeOutcome {
 }
 
 /// Convenience: a virtual-paced serve with no spillover — the fully
-/// deterministic configuration tests and benches build on.
+/// deterministic configuration tests build on.
 pub fn serve_virtual(spec: &ServeSpec, setup: &PaperSetup) -> Result<ServeOutcome, GatewayError> {
     serve_with(spec, Pacing::Virtual, &NoSpillover, setup, TraceMode::Off)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wall_pacing_rejects_scales_it_cannot_pace() {
+        let spec = ServeSpec::template();
+        let setup = PaperSetup::for_model(spec.model);
+        for time_scale in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-300] {
+            let err = serve_with(
+                &spec,
+                Pacing::Wall { time_scale },
+                &NoSpillover,
+                &setup,
+                TraceMode::Off,
+            )
+            .err()
+            .unwrap_or_else(|| panic!("time scale {time_scale} must be rejected"));
+            assert!(err.0.contains("time scale"), "{err}");
+        }
+    }
 }

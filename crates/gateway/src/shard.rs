@@ -39,7 +39,7 @@ pub(crate) struct ShardMsg {
 
 /// What one shard thread hands back after its channel closes.
 pub(crate) struct ShardRun {
-    /// The finished run's artifacts (report + trace + profiler).
+    /// The finished run's artifacts (report + trace).
     pub observed: flexpipe_serving::ObservedRun,
     /// `(global id, assigned stamp)` per arrival, in injection order.
     pub log: Vec<(u64, SimTime)>,

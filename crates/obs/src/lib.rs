@@ -1,6 +1,6 @@
 //! Observability for the FlexPipe serving engine: structured
 //! virtual-time-stamped traces, a per-event-kind counter/histogram
-//! registry, and a wall-clock self-time profiler.
+//! registry, and wall-clock per-scope statistics for profiling drivers.
 //!
 //! The crate is deliberately engine-independent — trace records carry
 //! plain integer ids and seconds, not engine types — so the same format
@@ -10,7 +10,8 @@
 //! [`diff::first_divergence`] pinpoints the first event where they are
 //! not.
 //!
-//! Three layers, all always-compiled and cheaply disableable:
+//! Three layers; the first two are always compiled into the engine and
+//! cheaply disableable, the third lives outside it:
 //!
 //! - [`TraceRecorder`] — the structured event log. `Off` costs one branch
 //!   per hook; `Ring(n)` keeps the last `n` records in constant memory
@@ -21,10 +22,12 @@
 //!   virtual-time gap each kind closes (how simulated time distributes
 //!   over the engine's handlers). Fed by the recorder in every mode,
 //!   recomputable offline from a parsed trace.
-//! - [`Profiler`] — scoped *wall-clock* timers around event dispatch and
-//!   `ControlPolicy::on_tick`. Wall times are inherently
-//!   non-deterministic, so the profiler lives outside every cached or
-//!   byte-compared artifact, mirroring the fleet's `BenchTiming`.
+//! - [`Profiler`] — per-scope *wall-clock* statistics fed by a driver
+//!   that times the engine from outside (`fleet trace profile` times
+//!   each `SteppedEngine` step per event kind). The engine itself never
+//!   reads a clock. Wall times are inherently non-deterministic, so
+//!   profiler output stays outside every cached or byte-compared
+//!   artifact, mirroring the fleet's `BenchTiming`.
 
 #![warn(missing_docs)]
 

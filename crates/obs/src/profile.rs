@@ -1,13 +1,14 @@
-//! Wall-clock self-time profiler for the engine's dispatch loop.
+//! Wall-clock per-scope statistics for profiling drivers.
 //!
+//! The profiler never reads a clock itself: a driver outside the engine
+//! times whatever it steps (`fleet trace profile` times each
+//! `SteppedEngine::step` and charges it to the event kind the step
+//! returns) and feeds the measurements in with [`Profiler::observe`].
 //! Wall times vary run to run, so profiler output must never enter a
-//! cached or byte-compared artifact — it is reported to stderr/stdout
-//! beside them, exactly like the fleet's `BenchTiming`. The engine keeps
-//! the profiler on the `Engine` struct (not `EngineState`) for the same
-//! reason: it is not part of the simulated world.
+//! cached or byte-compared artifact — it is reported beside them,
+//! exactly like the fleet's `BenchTiming`.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use flexpipe_metrics::{fmt_f, P2Quantile, Table};
 
@@ -38,56 +39,15 @@ impl ScopeStats {
     }
 }
 
-/// Scoped wall-clock timer collection.
-///
-/// Disabled by default: [`Profiler::start`] returns `None` and
-/// [`Profiler::stop`] is a no-op, so instrumented code pays one branch
-/// and no clock reads.
+/// Named wall-clock scopes, each aggregating the observations fed to it.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    enabled: bool,
     scopes: BTreeMap<String, ScopeStats>,
 }
 
 impl Profiler {
-    /// A profiler, armed or not.
-    pub fn new(enabled: bool) -> Self {
-        Profiler {
-            enabled,
-            scopes: BTreeMap::new(),
-        }
-    }
-
-    /// Whether timers are armed.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Opens a scope: reads the clock only when enabled.
-    #[inline]
-    pub fn start(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Closes a scope opened by [`Profiler::start`], attributing the
-    /// elapsed wall time to `name`.
-    #[inline]
-    pub fn stop(&mut self, name: &str, started: Option<Instant>) {
-        if let Some(t) = started {
-            self.observe(name, t.elapsed().as_secs_f64());
-        }
-    }
-
-    /// Records one observation directly (test seam; also lets callers
-    /// time things the `start`/`stop` pair cannot scope).
+    /// Records one observation of `secs` wall seconds under `name`.
     pub fn observe(&mut self, name: &str, secs: f64) {
-        if !self.enabled {
-            return;
-        }
         let st = self
             .scopes
             .entry(name.to_string())
@@ -121,7 +81,7 @@ impl Profiler {
         self.scopes.is_empty()
     }
 
-    /// Renders the self-time table, heaviest scope first (total wall
+    /// Renders the per-scope table, heaviest scope first (total wall
     /// time descending, ties by name).
     pub fn table(&self, title: &str) -> Table {
         let mut t = Table::new(
@@ -162,36 +122,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_profiler_is_inert() {
-        let mut p = Profiler::default();
-        assert!(!p.enabled());
-        let t = p.start();
-        assert!(t.is_none());
-        p.stop("x", t);
-        p.observe("x", 1.0);
-        assert!(p.is_empty());
-    }
-
-    #[test]
     fn enabled_profiler_aggregates() {
-        let mut p = Profiler::new(true);
+        let mut p = Profiler::default();
+        assert!(p.is_empty());
         p.observe("dispatch", 0.002);
         p.observe("dispatch", 0.004);
         p.observe("on_tick", 0.001);
         assert_eq!(p.calls("dispatch"), 2);
         assert!((p.total_secs("dispatch") - 0.006).abs() < 1e-12);
-        let rendered = p.table("self-time").render();
+        let rendered = p.table("per-kind wall time").render();
         // Heaviest scope leads.
         assert!(rendered.find("dispatch").unwrap() < rendered.find("on_tick").unwrap());
-    }
-
-    #[test]
-    fn start_stop_measures_something() {
-        let mut p = Profiler::new(true);
-        let t = p.start();
-        std::hint::black_box((0..1000).sum::<u64>());
-        p.stop("work", t);
-        assert_eq!(p.calls("work"), 1);
-        assert!(p.total_secs("work") >= 0.0);
     }
 }

@@ -105,9 +105,8 @@ pub enum EngineMode {
     /// The indexed fast paths (default): O(log n) / O(1) per event.
     #[default]
     Indexed,
-    /// The retained naive reference scans. Kept for equivalence tests,
-    /// the hot-path microbenchmarks and `fleet bench` A/B sweeps —
-    /// reports must be byte-identical.
+    /// The retained naive reference scans. Kept for equivalence tests
+    /// and `fleet bench` A/B sweeps — reports must be byte-identical.
     NaiveScan,
 }
 
@@ -153,8 +152,8 @@ impl Slot {
     }
 }
 
-/// Deterministic admission churn shared by the criterion microbenchmark
-/// (`crates/bench/benches/admission.rs`) and the fast-path ratio test.
+/// Deterministic admission churn behind the fast-path equivalence tests
+/// (`crates/serving/tests/admission_fast_path.rs`).
 ///
 /// Simulates `ops` gateway decisions over `n` instances with staggered
 /// capacities: each step admits to the least-loaded admissible slot

@@ -1,5 +1,6 @@
 //! The engine's incrementally maintained hot-path structures and the
-//! deterministic churn harnesses that prove and measure them.
+//! deterministic churn harnesses that prove them equivalent to their
+//! naive reference scans.
 //!
 //! Inventory (one entry per per-event scan the engine used to pay):
 //!
@@ -16,9 +17,11 @@
 //! never a report byte.
 //!
 //! The [`decode_slot_churn`] and [`server_load_churn`] harnesses mirror
-//! [`crate::admission::churn`]: deterministic, engine-free drivers shared
-//! by the criterion microbenches, the `fleet bench --hot-paths` speedup
-//! table and the non-`#[ignore]` wall-clock ratio tests.
+//! [`crate::admission::churn`]: deterministic, engine-free drivers whose
+//! decision checksums the equivalence tests compare across both modes,
+//! from small random fleets up to 1,500 instances/servers. Speed is
+//! measured end to end by the repository benchmark (`perfbench/`), not
+//! here.
 
 use std::collections::HashMap;
 

@@ -36,7 +36,7 @@ use super::{Engine, Event, ObservedRun, ReqRuntime};
 ///
 /// Construct it over an engine whose scenario has an *empty* workload
 /// (arrivals come exclusively through [`LiveEngine::push_arrival`]);
-/// attach tracing or profiling to the engine *before* wrapping, since
+/// attach tracing to the engine *before* wrapping, since
 /// construction primes the queue (policy init fires observable events).
 pub struct LiveEngine {
     engine: Engine,

@@ -51,7 +51,7 @@ use flexpipe_cluster::{
 };
 use flexpipe_metrics::{DisruptionLedger, OutcomeLog, Timeline, UtilizationLedger};
 use flexpipe_model::{CostModel, MaxBatchTable, ModelGraph, OpRange};
-use flexpipe_obs::{Profiler, TraceEvent, TraceMode, TraceRecorder};
+use flexpipe_obs::{TraceEvent, TraceMode, TraceRecorder};
 use flexpipe_partition::GranularityLattice;
 use flexpipe_sim::{EventQueue, RunOutcome, SimRng, SimTime, World};
 use flexpipe_workload::{CvEstimator, Request, RequestId, Workload};
@@ -139,8 +139,9 @@ pub enum Event {
 }
 
 impl Event {
-    /// Stable label per variant, used as the profiler's dispatch-scope
-    /// key and in observability summaries.
+    /// Stable label per variant: what [`SteppedEngine::step`] returns,
+    /// so a driver can charge each step to its event kind, and the key
+    /// of observability summaries.
     pub fn kind(&self) -> &'static str {
         match self {
             Event::Arrival(_) => "arrival",
@@ -407,22 +408,15 @@ pub struct Engine {
     pub(super) policy: Option<Box<dyn ControlPolicy>>,
     pub(super) events_seen: u64,
     pub(super) truncated: bool,
-    /// Wall-clock self-time profiler around event dispatch and
-    /// `ControlPolicy::on_tick`. Lives on the engine, not the state:
-    /// wall time is not part of the simulated world and must never
-    /// enter a cached or byte-compared artifact.
-    pub(super) profiler: Profiler,
 }
 
 /// Everything one observed run produces: the deterministic report plus
-/// the observability side channels (which never feed back into it).
+/// the trace side channel (which never feeds back into it).
 pub struct ObservedRun {
     /// The run report — byte-identical to an unobserved run's.
     pub report: RunReport,
     /// The trace recorder with its retained records and registry.
     pub trace: TraceRecorder,
-    /// The wall-clock self-time profiler.
-    pub profiler: Profiler,
 }
 
 /// Policy-facing context: state queries plus actions.
@@ -627,7 +621,6 @@ impl Engine {
             policy: Some(policy),
             events_seen: 0,
             truncated: false,
-            profiler: Profiler::default(),
         }
     }
 
@@ -636,11 +629,6 @@ impl Engine {
     /// every mode.
     pub fn set_trace(&mut self, mode: TraceMode) {
         self.state.obs = TraceRecorder::new(mode);
-    }
-
-    /// Arms the wall-clock self-time profiler (default: off).
-    pub fn set_profiler(&mut self, enabled: bool) {
-        self.profiler = Profiler::new(enabled);
     }
 
     pub(super) fn with_policy(
@@ -665,8 +653,7 @@ impl Engine {
     }
 
     /// Runs the scenario and returns the report together with the trace
-    /// and profiler side channels (see [`Engine::set_trace`] /
-    /// [`Engine::set_profiler`]).
+    /// side channel (see [`Engine::set_trace`]).
     pub fn run_observed(mut self) -> ObservedRun {
         let mut queue: EventQueue<Event> = EventQueue::new();
         self.prime(&mut queue);
@@ -719,13 +706,8 @@ impl Engine {
         // as truncated rather than abort the whole grid.
         self.truncated = matches!(outcome, RunOutcome::StepBudgetExhausted);
         let trace = std::mem::take(&mut self.state.obs);
-        let profiler = std::mem::take(&mut self.profiler);
         let report = self.into_report(horizon);
-        ObservedRun {
-            report,
-            trace,
-            profiler,
-        }
+        ObservedRun { report, trace }
     }
 
     fn into_report(self, horizon: SimTime) -> RunReport {
@@ -774,15 +756,6 @@ impl World for Engine {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
-        let kind = event.kind();
-        let timer = self.profiler.start();
-        self.dispatch(now, event, queue);
-        self.profiler.stop(kind, timer);
-    }
-}
-
-impl Engine {
-    fn dispatch(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         match event {
             Event::Arrival(i) => {
                 let i = i as usize;
@@ -825,9 +798,7 @@ impl Engine {
                 );
                 self.state.expire_host_cache(now);
                 self.state.provisioner.expire_warm(now);
-                let timer = self.profiler.start();
                 self.with_policy(queue, |p, ctx| p.on_tick(ctx));
-                self.profiler.stop("policy.on_tick", timer);
                 self.state.drain_gateway(queue);
                 self.state.maybe_close_recoveries(now);
                 let next = now + self.state.config.control_interval;

@@ -27,7 +27,7 @@ pub use engine::indexes::{decode_slot_churn, server_load_churn, DecodeSlotTracke
 pub use engine::{
     Ctx, Engine, EngineState, Event, LiveEngine, ObservedRun, Scenario, SteppedEngine,
 };
-pub use flexpipe_obs::{Profiler, TraceEvent, TraceMode, TraceRecord, TraceRecorder};
+pub use flexpipe_obs::{TraceEvent, TraceMode, TraceRecord, TraceRecorder};
 pub use instance::{
     Instance, InstanceId, InstanceSnapshot, InstanceState, MicroBatch, Phase, UbatchId,
 };

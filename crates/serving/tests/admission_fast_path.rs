@@ -1,19 +1,11 @@
-//! The high-rate admission fast path's two contracts, tested head-on:
-//!
-//! 1. **Equivalence** — the indexed path picks exactly the instances the
-//!    retained naive reference scan picks, under randomized churn
-//!    (admissions, completions, instances entering and leaving the
-//!    admissible set — the structure-level shadow of arrivals and
-//!    disruptions). Property-based; the engine-level twin lives in
-//!    `crates/fleet/tests/admission_equivalence.rs`.
-//! 2. **Speed** — at fleet scale the index is measurably faster than the
-//!    O(instances) rescan. The margin asserted here is deliberately
-//!    generous (naive must cost at least 2× the indexed path at 1500
-//!    instances; the typical ratio is an order of magnitude or more) so a
-//!    loaded CI machine cannot flake the test, while a regression that
-//!    quietly reverts admission to a linear scan still fails it.
-
-use std::time::Instant;
+//! The high-rate admission fast path's equivalence contract, tested
+//! head-on: the indexed path picks exactly the instances the retained
+//! naive reference scan picks, under randomized churn (admissions,
+//! completions, instances entering and leaving the admissible set — the
+//! structure-level shadow of arrivals and disruptions). Property-based
+//! over small fleets, plus one pinned run at fleet scale; the
+//! engine-level twin lives in `crates/fleet/tests/admission_equivalence.rs`.
+//! Speed is the benchmark's business (`perfbench/`), not this test's.
 
 use flexpipe_serving::{churn, AdmissionMode};
 use proptest::prelude::*;
@@ -38,33 +30,14 @@ proptest! {
 }
 
 #[test]
-fn indexed_admission_outpaces_naive_scan_at_fleet_scale() {
-    // 1500 instances × 120k admission decisions: the regime the ROADMAP's
-    // "millions of users" north star implies. Warm both paths once so
-    // allocator effects don't pollute the measured passes.
+fn indexed_admission_matches_naive_scan_at_fleet_scale() {
+    // 1500 instances × 120k admission decisions: fleet scale, far past
+    // the proptest's fleet sizes.
     const N: usize = 1500;
     const OPS: usize = 120_000;
-    let warm_indexed = churn(N, OPS / 10, AdmissionMode::Indexed);
-    let warm_naive = churn(N, OPS / 10, AdmissionMode::NaiveScan);
-    assert_eq!(warm_indexed, warm_naive, "warmup divergence");
-
-    let t = Instant::now();
-    let a = churn(N, OPS, AdmissionMode::Indexed);
-    let indexed_secs = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
-    let b = churn(N, OPS, AdmissionMode::NaiveScan);
-    let naive_secs = t.elapsed().as_secs_f64();
-
-    assert_eq!(a, b, "the two paths must make identical decisions");
-    eprintln!(
-        "admission path at {N} instances x {OPS} ops: indexed {indexed_secs:.3}s, \
-         naive {naive_secs:.3}s ({:.1}x)",
-        naive_secs / indexed_secs
-    );
-    assert!(
-        naive_secs > 2.0 * indexed_secs,
-        "indexed admission should be measurably faster than the naive scan: \
-         indexed {indexed_secs:.3}s vs naive {naive_secs:.3}s"
+    assert_eq!(
+        churn(N, OPS, AdmissionMode::Indexed),
+        churn(N, OPS, AdmissionMode::NaiveScan),
+        "the two paths must make identical decisions"
     );
 }

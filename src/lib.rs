@@ -13,7 +13,7 @@
 //! - [`workload`] — CV-controlled arrival processes and trace synthesis;
 //! - [`metrics`] — latency/goodput/stall/utilisation instrumentation;
 //! - [`chaos`] — scriptable disruptions: preemptions, GPU loss, surges;
-//! - [`obs`] — engine-native tracing, event registry, self-time profiler;
+//! - [`obs`] — engine-native tracing, event registry, wall-clock profiler;
 //! - [`serving`] — the pipelined serving engine and policy interface;
 //! - [`core`] — FlexPipe itself (Eq. 4-13, Algorithm 1);
 //! - [`baselines`] — AlpaServe-, MuxServe-, ServerlessLLM- and Tetris-like
