@@ -85,7 +85,7 @@ pub fn packed_gpus(
         .gpus()
         .iter()
         .map(|g| g.id)
-        .filter(|g| !in_use.contains(g) && !exclude.contains(g))
+        .filter(|&g| !in_use.contains(g) && !exclude.contains(&g))
         .filter(|&g| cluster.free_mem(g) >= min_free)
         .collect();
     // Busiest-first: highest subscription, then least free memory.

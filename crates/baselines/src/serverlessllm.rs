@@ -95,7 +95,7 @@ impl ServerlessLlmLike {
         // Locality-aware: for each stage, try a free GPU on the server
         // holding its checkpoint.
         let mut gpus: Vec<GpuId> = Vec::with_capacity(ranges.len());
-        let in_use = ctx.state.gpus_in_use().clone();
+        let in_use = ctx.state.gpus_in_use();
         for &r in &ranges {
             let need = ctx.state.cost().stage_mem_bytes(ctx.state.graph(), r, 8);
             let prefer = ctx.state.is_cached(r);
@@ -105,7 +105,7 @@ impl ServerlessLlmLike {
                 .gpus()
                 .iter()
                 .map(|g| g.id)
-                .filter(|g| !in_use.contains(g) && !gpus.contains(g))
+                .filter(|&g| !in_use.contains(g) && !gpus.contains(&g))
                 .filter(|&g| cluster.free_mem(g) >= need)
                 .min_by_key(|&g| {
                     let on_prewarmed = Some(cluster.topology().gpu(g).server) == prefer;

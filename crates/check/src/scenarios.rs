@@ -508,7 +508,7 @@ impl ControlPolicy for ScriptedPolicy {
             .gpus()
             .iter()
             .map(|g| g.id)
-            .filter(|g| !in_use.contains(g))
+            .filter(|&g| !in_use.contains(g))
             .collect();
         let mut assignments = Vec::new();
         for i in 0..new_ranges.len() {

@@ -7,13 +7,29 @@
 //! busy GPUs under stable traffic and insist on isolation under bursty
 //! traffic.
 //!
-//! Solved greedily with a local-search improvement pass — the candidate
-//! set is small (stages × GPUs) and decisions must stay inside the paper's
-//! < 5 ms budget.
+//! Solved greedily with a local-search improvement pass, so decisions stay
+//! inside the paper's < 5 ms budget on clusters of thousands of GPUs. The
+//! caller passes only the candidates it may place on, in ascending id
+//! order, so exclusion costs the optimizer nothing. One assignment then
+//! costs one pass over the candidates to group them, one score per group
+//! per stage for the greedy pass, and O(stages²) full-assignment scores
+//! per local-search round.
+//!
+//! **Identical-GPU grouping.** A stage's score on a GPU (plus the caller's
+//! bias) depends on the GPU only through four values: its server's bias,
+//! its free memory, its background SM load and its background service
+//! count. Consecutive candidates on one server that agree on the three
+//! loads therefore score the same for every stage, and form one group.
+//! For each stage the greedy pass scores only each group's lowest id not
+//! yet taken, and compares those with the same comparator a scan of every
+//! candidate uses (score first, then the lowest id). A group's members are
+//! taken lowest id first, so its representative beats its other members
+//! on the tie-break, and the winner — score bits included — is the full
+//! scan's. On an idle 8-GPU server this is one score instead of eight.
 
 use serde::{Deserialize, Serialize};
 
-use flexpipe_cluster::{Cluster, GpuId};
+use flexpipe_cluster::{Cluster, GpuId, ServerId};
 use flexpipe_model::{CostModel, ModelGraph, OpRange};
 
 /// Parameters of the assignment objective.
@@ -85,7 +101,7 @@ impl AllocationOptimizer {
 
     /// Per-(stage, gpu) score: normalised throughput density minus the
     /// multiplexing penalty when the GPU already hosts other tenants.
-    fn score_one(
+    pub(crate) fn score_one(
         &self,
         cluster: &Cluster,
         interference_coeff: f64,
@@ -117,9 +133,10 @@ impl AllocationOptimizer {
 
     /// Assigns `needs` to GPUs from `candidates` under workload CV `cv`.
     ///
-    /// `forbidden` GPUs (already hosting stages of this model) are never
-    /// used — the §6.2 anti-colocation rule. Returns `None` when any stage
-    /// cannot be placed.
+    /// `candidates` must be in ascending id order without repeats, and
+    /// hold only GPUs this model may use: the caller leaves out devices
+    /// already hosting its stages (the §6.2 anti-colocation rule). Returns
+    /// `None` when any stage cannot be placed.
     #[allow(clippy::too_many_arguments)]
     pub fn assign(
         &self,
@@ -129,7 +146,6 @@ impl AllocationOptimizer {
         interference_coeff: f64,
         needs: &[StageNeed],
         candidates: &[GpuId],
-        forbidden: &[GpuId],
         cv: f64,
     ) -> Option<Assignment> {
         self.assign_biased(
@@ -139,13 +155,13 @@ impl AllocationOptimizer {
             interference_coeff,
             needs,
             candidates,
-            forbidden,
             cv,
             &|_| 0.0,
         )
     }
 
-    /// [`AllocationOptimizer::assign`] with an additive per-GPU bias.
+    /// [`AllocationOptimizer::assign`] with an additive per-server bias,
+    /// shared by every GPU of the server.
     ///
     /// The Hierarchical Resource Graph composes its topology terms
     /// (contention markers, host-cache affinity) through `bias`, keeping
@@ -159,45 +175,44 @@ impl AllocationOptimizer {
         interference_coeff: f64,
         needs: &[StageNeed],
         candidates: &[GpuId],
-        forbidden: &[GpuId],
         cv: f64,
-        bias: &dyn Fn(GpuId) -> f64,
+        bias: &dyn Fn(ServerId) -> f64,
     ) -> Option<Assignment> {
-        let usable: Vec<GpuId> = candidates
-            .iter()
-            .copied()
-            .filter(|g| !forbidden.contains(g))
-            .collect();
-        if usable.len() < needs.len() {
+        debug_assert!(
+            candidates.windows(2).all(|w| w[0] < w[1]),
+            "candidates must be ascending and distinct"
+        );
+        if candidates.len() < needs.len() {
             return None;
         }
+        let topo = cluster.topology();
+        let mut groups = group_candidates(cluster, candidates, bias);
         // Greedy: place the most memory-demanding stage first on its best
         // scoring GPU.
         let mut order: Vec<usize> = (0..needs.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(needs[i].mem_bytes));
-        let mut chosen: Vec<Option<GpuId>> = vec![None; needs.len()];
-        let mut taken: Vec<GpuId> = Vec::new();
+        let mut gpus = vec![GpuId(0); needs.len()];
         for &i in &order {
-            let best = usable
+            let (_, g, k) = groups
                 .iter()
-                .copied()
-                .filter(|g| !taken.contains(g))
-                .filter_map(|g| {
+                .enumerate()
+                .filter(|(_, group)| group.next < group.end)
+                .filter_map(|(k, group)| {
+                    let g = candidates[group.next];
                     self.score_one(cluster, interference_coeff, &needs[i], g, cv)
-                        .map(|s| (s + bias(g), g))
+                        .map(|s| (s + group.bias, g, k))
                 })
-                .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)));
-            let (_, g) = best?;
-            chosen[i] = Some(g);
-            taken.push(g);
+                .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)))?;
+            groups[k].next += 1;
+            gpus[i] = g;
         }
-        let mut gpus: Vec<GpuId> = chosen.into_iter().map(|c| c.expect("placed")).collect();
 
         // Local search: single-swap improvements between stage pairs.
         let score_of = |gpus: &[GpuId]| -> Option<f64> {
             let mut total = 0.0;
             for (need, &g) in needs.iter().zip(gpus) {
-                total += self.score_one(cluster, interference_coeff, need, g, cv)? + bias(g);
+                total += self.score_one(cluster, interference_coeff, need, g, cv)?
+                    + bias(topo.gpu(g).server);
             }
             Some(total)
         };
@@ -246,6 +261,50 @@ impl AllocationOptimizer {
     }
 }
 
+/// Candidates that score the same for every stage: consecutive candidates
+/// on one server with equal free memory, background SM load and
+/// background service count (the module doc's grouping rule).
+struct Group {
+    /// Bias of the members' server.
+    bias: f64,
+    /// Candidate index of the lowest member no stage has taken yet.
+    next: usize,
+    /// One past the candidate index of the last member.
+    end: usize,
+}
+
+fn group_candidates(
+    cluster: &Cluster,
+    candidates: &[GpuId],
+    bias: &dyn Fn(ServerId) -> f64,
+) -> Vec<Group> {
+    let topo = cluster.topology();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut last_key = None;
+    for (i, &g) in candidates.iter().enumerate() {
+        let server = topo.gpu(g).server;
+        let load = cluster.load(g);
+        let key = (
+            server,
+            cluster.free_mem(g),
+            load.bg_sm.to_bits(),
+            load.bg_services,
+        );
+        match groups.last_mut() {
+            Some(group) if last_key == Some(key) => group.end = i + 1,
+            _ => {
+                groups.push(Group {
+                    bias: bias(server),
+                    next: i,
+                    end: i + 1,
+                });
+                last_key = Some(key);
+            }
+        }
+    }
+    groups
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,7 +345,7 @@ mod tests {
         let needs = needs_for(&graph, &cost, 4);
         let candidates: Vec<GpuId> = cluster.topology().gpus().iter().map(|g| g.id).collect();
         let a = opt
-            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, &[], 1.0)
+            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, 1.0)
             .unwrap();
         let mut gpus = a.gpus.clone();
         gpus.sort();
@@ -299,19 +358,16 @@ mod tests {
     fn forbidden_gpus_are_never_used() {
         let (cluster, graph, cost, opt) = setup();
         let needs = needs_for(&graph, &cost, 2);
-        let candidates: Vec<GpuId> = cluster.topology().gpus().iter().map(|g| g.id).collect();
-        let forbidden: Vec<GpuId> = (0..40).map(GpuId).collect();
+        // The caller leaves the forbidden GPUs 0..40 out of the candidates.
+        let candidates: Vec<GpuId> = cluster
+            .topology()
+            .gpus()
+            .iter()
+            .map(|g| g.id)
+            .filter(|g| g.0 >= 40)
+            .collect();
         let a = opt
-            .assign(
-                &cluster,
-                &graph,
-                &cost,
-                0.6,
-                &needs,
-                &candidates,
-                &forbidden,
-                1.0,
-            )
+            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, 1.0)
             .unwrap();
         assert!(a.gpus.iter().all(|g| g.0 >= 40));
     }
@@ -327,10 +383,10 @@ mod tests {
         let needs = needs_for(&graph, &cost, 2);
         let candidates: Vec<GpuId> = cluster.topology().gpus().iter().map(|g| g.id).collect();
         let stable = opt
-            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, &[], 0.3)
+            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, 0.3)
             .unwrap();
         let bursty = opt
-            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, &[], 6.0)
+            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, 6.0)
             .unwrap();
         // Under bursty traffic every chosen GPU must be unshared.
         assert!(
@@ -357,7 +413,7 @@ mod tests {
         let needs = needs_for(&graph, &cost, 2);
         let candidates: Vec<GpuId> = cluster.topology().gpus().iter().map(|g| g.id).collect();
         assert!(opt
-            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, &[], 1.0)
+            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, 1.0)
             .is_none());
     }
 
@@ -371,7 +427,7 @@ mod tests {
         let needs = needs_for(&graph, &cost, 4);
         let candidates: Vec<GpuId> = cluster.topology().gpus().iter().map(|g| g.id).collect();
         let a = opt
-            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, &[], 1.0)
+            .assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, 1.0)
             .unwrap();
         for &g in &a.gpus {
             assert!(cluster.load(g).bg_sm < 0.5, "placed on hot gpu {g:?}");

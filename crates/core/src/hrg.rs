@@ -53,7 +53,7 @@ impl Default for HrgParams {
 }
 
 /// The HRG state: event markers and model-hosting history.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hrg {
     params: HrgParams,
     /// Decayed-event accumulators: (last update, value).
@@ -131,15 +131,21 @@ impl Hrg {
         temporal + self.params.w_gpus * avail
     }
 
-    /// Net per-GPU placement bias: affinity bonus minus contention penalty
-    /// of the hosting server.
-    pub fn bias(&self, cluster: &Cluster, gpu: GpuId, now: SimTime) -> f64 {
-        let server = cluster.topology().gpu(gpu).server;
+    /// Net placement bias of `server`, shared by all its GPUs: affinity
+    /// bonus minus contention penalty.
+    pub fn bias(&self, cluster: &Cluster, server: ServerId, now: SimTime) -> f64 {
         self.affinity(cluster, server, now) - self.contention(cluster, server, now)
     }
 
     /// Topology-aware placement: runs the Eq. (6)–(9) optimizer with the
-    /// HRG bias, then records scaling events on the chosen servers.
+    /// HRG bias over every GPU that `excluded` lets through, then records
+    /// scaling events on the chosen servers.
+    ///
+    /// One pass over the servers collects the candidates (GPU ids run
+    /// consecutively per server, so they come out in id order) and
+    /// computes the bias once for each server that has one. Nothing the
+    /// bias reads changes before the placement is recorded, so the
+    /// optimizer sees the value a per-GPU evaluation would give.
     #[allow(clippy::too_many_arguments)]
     pub fn place(
         &mut self,
@@ -149,11 +155,21 @@ impl Hrg {
         optimizer: &AllocationOptimizer,
         interference_coeff: f64,
         needs: &[StageNeed],
-        forbidden: &[GpuId],
+        excluded: &dyn Fn(GpuId) -> bool,
         cv: f64,
         now: SimTime,
     ) -> Option<Assignment> {
-        let candidates: Vec<GpuId> = cluster.topology().gpus().iter().map(|g| g.id).collect();
+        let topo = cluster.topology();
+        let mut candidates = Vec::new();
+        let mut server_bias = vec![0.0; topo.server_count()];
+        for (s, bias) in server_bias.iter_mut().enumerate() {
+            let server = ServerId(s as u32);
+            let before = candidates.len();
+            candidates.extend(topo.gpus_on(server).iter().filter(|&&g| !excluded(g)));
+            if candidates.len() > before {
+                *bias = self.bias(cluster, server, now);
+            }
+        }
         let assignment = optimizer.assign_biased(
             cluster,
             graph,
@@ -161,12 +177,11 @@ impl Hrg {
             interference_coeff,
             needs,
             &candidates,
-            forbidden,
             cv,
-            &|g| self.bias(cluster, g, now),
+            &|s| server_bias[s.0 as usize],
         )?;
         for &g in &assignment.gpus {
-            let server = cluster.topology().gpu(g).server;
+            let server = topo.gpu(g).server;
             self.record_scaling(cluster, server, now);
             self.record_hosting(server, now);
         }
@@ -241,13 +256,12 @@ mod tests {
         let n = needs(&graph, &cost, 2);
         let now = SimTime::from_secs(10);
         let first = hrg
-            .place(&cluster, &graph, &cost, &opt, 0.6, &n, &[], 1.0, now)
+            .place(&cluster, &graph, &cost, &opt, 0.6, &n, &|_| false, 1.0, now)
             .unwrap();
-        let mut forbidden = first.gpus.clone();
+        let held = |g: GpuId| first.gpus.contains(&g);
         let second = hrg
-            .place(&cluster, &graph, &cost, &opt, 0.6, &n, &forbidden, 1.0, now)
+            .place(&cluster, &graph, &cost, &opt, 0.6, &n, &held, 1.0, now)
             .unwrap();
-        forbidden.extend(second.gpus.clone());
         // The event markers must push the second scale-out off the first's
         // servers.
         let servers_of = |gpus: &[GpuId]| -> Vec<ServerId> {
@@ -277,7 +291,7 @@ mod tests {
                 &opt,
                 0.6,
                 &n,
-                &[],
+                &|_| false,
                 1.0,
                 SimTime::from_secs(55),
             )

@@ -23,6 +23,8 @@ pub mod allocation;
 pub mod consistency;
 pub mod granularity;
 pub mod hrg;
+#[cfg(test)]
+mod placement_oracle;
 pub mod policy;
 pub mod scaling;
 

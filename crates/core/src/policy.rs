@@ -21,8 +21,8 @@ use serde::{Deserialize, Serialize};
 
 use flexpipe_cluster::GpuId;
 use flexpipe_serving::{
-    ActionError, ControlPolicy, CrippledInstance, Ctx, DisruptionNotice, EngineMode, InstanceId,
-    InstanceSnapshot, InstanceState, Placement, RefactorPlan, StageAssign,
+    ActionError, ControlPolicy, CrippledInstance, Ctx, DisruptionNotice, EngineMode, EngineState,
+    InstanceId, InstanceSnapshot, InstanceState, Placement, RefactorPlan, StageAssign,
 };
 use flexpipe_sim::{SimDuration, SimTime};
 
@@ -320,14 +320,6 @@ impl FlexPipePolicy {
             .copied()
     }
 
-    /// Devices no placement may touch: everything we already hold plus
-    /// everything under an outstanding preemption notice.
-    fn forbidden_gpus(&self, ctx: &Ctx<'_>) -> Vec<GpuId> {
-        let mut forbidden: Vec<GpuId> = ctx.state.gpus_in_use().iter().copied().collect();
-        forbidden.extend(ctx.state.doomed_gpus().iter().map(|&(g, _)| g));
-        forbidden
-    }
-
     fn stage_needs(&self, ctx: &Ctx<'_>, ranges: &[flexpipe_model::OpRange]) -> Vec<StageNeed> {
         ranges
             .iter()
@@ -354,7 +346,6 @@ impl FlexPipePolicy {
             .ranges
             .clone();
         let needs = self.stage_needs(ctx, &ranges);
-        let forbidden = self.forbidden_gpus(ctx);
         let assignment = self
             .hrg
             .place(
@@ -364,7 +355,7 @@ impl FlexPipePolicy {
                 &self.optimizer,
                 self.cfg.interference_coeff,
                 &needs,
-                &forbidden,
+                &|g| held_or_doomed(ctx.state, g),
                 cv,
                 now,
             )
@@ -402,7 +393,6 @@ impl FlexPipePolicy {
             Vec::new()
         } else {
             let needs = self.stage_needs(ctx, &fresh_ranges);
-            let forbidden = self.forbidden_gpus(ctx);
             match self.hrg.place(
                 ctx.state.cluster(),
                 ctx.state.graph(),
@@ -410,7 +400,7 @@ impl FlexPipePolicy {
                 &self.optimizer,
                 self.cfg.interference_coeff,
                 &needs,
-                &forbidden,
+                &|g| held_or_doomed(ctx.state, g),
                 cv,
                 now,
             ) {
@@ -510,16 +500,6 @@ impl FlexPipePolicy {
         }
         let (rate, cv, _) = ctx.monitor();
         let needs = self.stage_needs(ctx, &fresh_ranges);
-        let mut forbidden = self.forbidden_gpus(ctx);
-        forbidden.extend(
-            ctx.state
-                .cluster()
-                .topology()
-                .gpus()
-                .iter()
-                .map(|g| g.id)
-                .filter(|&g| bad(g)),
-        );
         let Some(assignment) = self.hrg.place(
             ctx.state.cluster(),
             ctx.state.graph(),
@@ -527,7 +507,7 @@ impl FlexPipePolicy {
             &self.optimizer,
             self.cfg.interference_coeff,
             &needs,
-            &forbidden,
+            &|g| held_or_doomed(ctx.state, g) || bad(g),
             cv,
             now,
         ) else {
@@ -575,6 +555,12 @@ impl FlexPipePolicy {
             false
         }
     }
+}
+
+/// Whether placement must skip `gpu`: one of our instances holds it, or it
+/// is under an outstanding preemption notice.
+fn held_or_doomed(state: &EngineState, gpu: GpuId) -> bool {
+    state.gpus_in_use().contains(gpu) || state.is_doomed(gpu)
 }
 
 /// Range of `new_stage` in the transition plan's target level.

@@ -37,7 +37,9 @@ use crate::report::{summarize_cell, CellMetrics};
 use crate::runner::{
     effective_threads, failed_cell_metrics, parallel_indexed, FleetError, RunOptions,
 };
-use crate::spec::{fmt_axis, mix64, BackgroundShape, ClusterShape, PolicySpec};
+use crate::spec::{
+    fmt_axis, mix64, validate_run_window, BackgroundShape, ClusterShape, PolicySpec,
+};
 
 /// A declarative engine-tunable bench: one model, cluster, policy and
 /// arrival CV; four tunable axes (rate × ubatch × prefill cap × admission
@@ -216,9 +218,13 @@ impl BenchSpec {
         if self.ubatch_sizes.contains(&0) || self.admission_batches.contains(&0) {
             return Err("batch sizes must be positive".into());
         }
-        if self.horizon_secs <= 0.0 || self.warmup_secs < 0.0 {
-            return Err("horizon must be positive and warmup non-negative".into());
-        }
+        validate_run_window(
+            self.horizon_secs,
+            self.warmup_secs,
+            self.slo_secs,
+            self.slo_per_output_token_ms,
+        )?;
+        self.cluster.validate()?;
         if self.max_events == 0 {
             return Err("max_events watchdog budget must be positive".into());
         }
@@ -672,6 +678,29 @@ mod tests {
         s.cv = -1.0;
         assert!(s.validate().is_err());
         assert!(BenchSpec::template().validate().is_ok());
+        // The cluster and run-window checks sweep specs use apply too.
+        let mut s = BenchSpec::template();
+        s.cluster = ClusterShape::Custom {
+            nodes: 8,
+            total_gpus: 4,
+            servers_per_rack: 4,
+        };
+        assert!(s.validate().unwrap_err().contains("custom-8n-4g-4r"));
+        let mut s = BenchSpec::template();
+        s.horizon_secs = f64::INFINITY;
+        assert!(s.validate().unwrap_err().starts_with("horizon_secs"));
+        let mut s = BenchSpec::template();
+        s.slo_secs = 0.0;
+        assert!(s.validate().unwrap_err().starts_with("slo_secs"));
+        let mut s = BenchSpec::template();
+        s.warmup_secs = f64::NAN;
+        assert!(s.validate().unwrap_err().starts_with("warmup_secs"));
+        let mut s = BenchSpec::template();
+        s.slo_per_output_token_ms = -1.0;
+        assert!(s
+            .validate()
+            .unwrap_err()
+            .starts_with("slo_per_output_token_ms"));
     }
 
     #[test]

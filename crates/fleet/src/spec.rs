@@ -61,6 +61,22 @@ impl ClusterShape {
         }
     }
 
+    /// Checks that the shape builds a cluster: a `Custom` one needs at
+    /// least one server, one GPU per server and one server per rack.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        match *self {
+            ClusterShape::Custom {
+                nodes,
+                total_gpus,
+                servers_per_rack,
+            } if nodes == 0 || total_gpus < nodes || servers_per_rack == 0 => Err(format!(
+                "cluster `{}` needs nodes > 0, total_gpus >= nodes and servers_per_rack > 0",
+                self.label()
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Stable label used in reports and seed derivation.
     pub fn label(&self) -> String {
         match self {
@@ -477,8 +493,14 @@ impl SweepSpec {
         if self.rates.iter().any(|&r| !(r.is_finite() && r > 0.0)) {
             return Err("rates must be finite and positive".into());
         }
-        if self.horizon_secs <= 0.0 || self.warmup_secs < 0.0 {
-            return Err("horizon must be positive and warmup non-negative".into());
+        validate_run_window(
+            self.horizon_secs,
+            self.warmup_secs,
+            self.slo_secs,
+            self.slo_per_output_token_ms,
+        )?;
+        for c in &self.clusters {
+            c.validate()?;
         }
         if self.max_events == 0 {
             return Err("max_events watchdog budget must be positive".into());
@@ -548,6 +570,30 @@ impl SweepSpec {
             replicas: 1,
         }
     }
+}
+
+/// Checks the run length and SLO fields sweep and bench specs share:
+/// `horizon_secs` and `slo_secs` finite and positive, `warmup_secs` and
+/// `slo_per_output_token_ms` finite and non-negative.
+pub(crate) fn validate_run_window(
+    horizon_secs: f64,
+    warmup_secs: f64,
+    slo_secs: f64,
+    slo_per_output_token_ms: f64,
+) -> Result<(), String> {
+    let checks = [
+        ("horizon_secs", horizon_secs, false),
+        ("warmup_secs", warmup_secs, true),
+        ("slo_secs", slo_secs, false),
+        ("slo_per_output_token_ms", slo_per_output_token_ms, true),
+    ];
+    for (name, v, zero_ok) in checks {
+        if !(v.is_finite() && if zero_ok { v >= 0.0 } else { v > 0.0 }) {
+            let want = if zero_ok { "non-negative" } else { "positive" };
+            return Err(format!("{name} must be finite and {want}, got {v}"));
+        }
+    }
+    Ok(())
 }
 
 /// Required-field lookup for the hand-written [`SweepSpec`] deserializer.
@@ -768,6 +814,46 @@ mod tests {
         assert_eq!(ClusterShape::PaperTestbed.label(), "paper-testbed");
         let cell = &SweepSpec::template().expand()[0];
         assert_eq!(cell.id(), "cv0p5-r10-paper-testbed-FlexPipe");
+    }
+
+    #[test]
+    fn validation_rejects_unbuildable_clusters_and_bad_run_windows() {
+        let custom = |nodes, total_gpus, servers_per_rack| ClusterShape::Custom {
+            nodes,
+            total_gpus,
+            servers_per_rack,
+        };
+        for bad in [custom(0, 0, 4), custom(8, 7, 4), custom(8, 12, 0)] {
+            let mut spec = SweepSpec::template();
+            spec.clusters.push(bad.clone());
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains(&bad.label()), "{err}");
+        }
+        let mut spec = SweepSpec::template();
+        spec.clusters = vec![custom(8, 8, 1), custom(1, 64, 1)];
+        assert!(spec.validate().is_ok());
+
+        type Field = fn(&mut SweepSpec) -> &mut f64;
+        let fields: [(&str, Field, bool); 4] = [
+            ("horizon_secs", |s| &mut s.horizon_secs, false),
+            ("warmup_secs", |s| &mut s.warmup_secs, true),
+            ("slo_secs", |s| &mut s.slo_secs, false),
+            (
+                "slo_per_output_token_ms",
+                |s| &mut s.slo_per_output_token_ms,
+                true,
+            ),
+        ];
+        for (name, field, zero_ok) in fields {
+            for v in [f64::INFINITY, f64::NAN, -1.0, 0.0] {
+                let mut spec = SweepSpec::template();
+                *field(&mut spec) = v;
+                match spec.validate() {
+                    Ok(()) => assert!(zero_ok && v == 0.0, "{name} = {v} accepted"),
+                    Err(e) => assert!(e.starts_with(name), "{name} = {v}: {e}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -322,11 +322,63 @@ fn usage_errors_exit_one() {
             "2".into(),
         ],
         vec!["bench".into(), "--live".into()],
-        vec!["bench".into(), bench_spec.into(), "--hot-paths".into()],
+        vec![
+            "bench".into(),
+            bench_spec.clone().into(),
+            "--hot-paths".into(),
+        ],
     ];
     for args in retired {
         let out = bin().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    }
+
+    // Malformed sweep and bench specs are refused before any cell runs:
+    // a custom cluster with fewer GPUs than servers (which would panic in
+    // every cell) and an infinite horizon (which would never finish).
+    let sweep_spec = dir.join("sweep.json");
+    let out = bin().arg("init").arg(&sweep_spec).output().unwrap();
+    assert!(out.status.success(), "init failed: {out:?}");
+    let sweep = std::fs::read_to_string(&sweep_spec).unwrap();
+    let bench = std::fs::read_to_string(&bench_spec).unwrap();
+    let custom = r#"{ "Custom": { "nodes": 8, "total_gpus": 4, "servers_per_rack": 4 } }"#;
+    let malformed = [
+        (
+            "run",
+            sweep.replace("\"PaperTestbed\"", custom),
+            "custom-8n-4g-4r",
+        ),
+        (
+            "run",
+            sweep.replace("\"horizon_secs\": 120.0", "\"horizon_secs\": 1e999"),
+            "horizon_secs",
+        ),
+        (
+            "bench",
+            bench.replace("\"PaperTestbed\"", custom),
+            "custom-8n-4g-4r",
+        ),
+        (
+            "bench",
+            bench.replace("\"horizon_secs\": 45.0", "\"horizon_secs\": 1e999"),
+            "horizon_secs",
+        ),
+    ];
+    for (verb, text, reason) in malformed {
+        let path = dir.join("malformed.json");
+        std::fs::write(&path, &text).unwrap();
+        let out = bin()
+            .arg(verb)
+            .arg(&path)
+            .arg("--out")
+            .arg(dir.join("never-written.json"))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{verb} {reason}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(reason),
+            "{verb} {reason}: {out:?}"
+        );
     }
 
     // `trace profile` refuses an empty fleet and one whose cluster size

@@ -127,7 +127,7 @@ impl EngineState {
             }
             self.cluster.revoke_gpu(g);
             revoked.push(g);
-            if self.gpus_in_use.remove(&g) {
+            if self.gpus_in_use.remove(g) {
                 self.ledger.record_release(now);
             }
             self.provisioner.evict(g);
@@ -183,7 +183,7 @@ impl EngineState {
                     continue;
                 }
                 self.provisioner.release(g, now);
-                if self.gpus_in_use.remove(&g) {
+                if self.gpus_in_use.remove(g) {
                     self.ledger.record_release(now);
                 }
             }
@@ -232,7 +232,7 @@ impl EngineState {
             if let Some(pending) = self.pending_refactors.remove(&id) {
                 for g in pending.fresh_acquired {
                     self.provisioner.release(g, now);
-                    if self.gpus_in_use.remove(&g) {
+                    if self.gpus_in_use.remove(g) {
                         self.ledger.record_release(now);
                     }
                 }
@@ -312,7 +312,7 @@ impl EngineState {
                         }
                         let _ = self.cluster.release(s.lease);
                         self.provisioner.release(s.gpu, now);
-                        if self.gpus_in_use.remove(&s.gpu) {
+                        if self.gpus_in_use.remove(s.gpu) {
                             self.ledger.record_release(now);
                         }
                     }

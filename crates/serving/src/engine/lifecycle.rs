@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use flexpipe_cluster::{GpuId, LeaseId, Route, ServerId};
+use flexpipe_cluster::{GpuId, GpuSet, LeaseId, Route, ServerId};
 use flexpipe_model::OpRange;
 use flexpipe_obs::TraceEvent;
 use flexpipe_sim::{EventQueue, SimDuration, SimTime};
@@ -51,8 +51,13 @@ impl EngineState {
     }
 
     /// GPUs currently holding stages of our instances.
-    pub fn gpus_in_use(&self) -> &std::collections::HashSet<GpuId> {
+    pub fn gpus_in_use(&self) -> &GpuSet {
         &self.gpus_in_use
+    }
+
+    /// Whether `gpu` is under an outstanding preemption notice.
+    pub fn is_doomed(&self, gpu: GpuId) -> bool {
+        self.pending_revocations.contains_key(&gpu)
     }
 
     /// Devices under an outstanding preemption notice, with their
@@ -125,7 +130,7 @@ impl EngineState {
                 }
                 let mut seen = std::collections::HashSet::new();
                 for (&g, &r) in gpus.iter().zip(ranges) {
-                    if self.gpus_in_use.contains(&g) || !seen.insert(g) {
+                    if self.gpus_in_use.contains(g) || !seen.insert(g) {
                         return Err(ActionError::NoCapacity(format!("gpu {g:?} already in use")));
                     }
                     let need = self.stage_mem_of(r, 1);
@@ -151,7 +156,7 @@ impl EngineState {
                         .gpus()
                         .iter()
                         .map(|g| g.id)
-                        .filter(|g| !self.gpus_in_use.contains(g) && !chosen.contains(g))
+                        .filter(|&g| !self.gpus_in_use.contains(g) && !chosen.contains(&g))
                         .filter(|&g| self.cluster.free_mem(g) >= need)
                         .max_by_key(|&g| (self.cluster.free_mem(g), std::cmp::Reverse(g.0)))
                         .ok_or_else(|| {
@@ -338,7 +343,7 @@ impl EngineState {
         }
         self.provisioner.release(gpu, now);
         self.ledger.record_release(now);
-        self.gpus_in_use.remove(&gpu);
+        self.gpus_in_use.remove(gpu);
     }
 
     pub(super) fn expire_host_cache(&mut self, now: SimTime) {
@@ -394,7 +399,7 @@ impl EngineState {
                     }
                 }
                 StageAssign::Fresh { gpu } => {
-                    if self.gpus_in_use.contains(&gpu)
+                    if self.gpus_in_use.contains(gpu)
                         || self.cluster.is_revoked(gpu)
                         || !fresh_seen.insert(gpu)
                     {
@@ -546,7 +551,7 @@ impl EngineState {
             for gpu in pending.fresh_acquired {
                 self.provisioner.release(gpu, now);
                 self.ledger.record_release(now);
-                self.gpus_in_use.remove(&gpu);
+                self.gpus_in_use.remove(gpu);
             }
             self.obs
                 .record(now, TraceEvent::RefactorAbort { instance: id.0 });

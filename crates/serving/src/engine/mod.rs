@@ -46,8 +46,8 @@ use std::sync::Arc;
 
 use flexpipe_chaos::{Disruption, DisruptionScript};
 use flexpipe_cluster::{
-    BackgroundProfile, BackgroundTenants, Cluster, ClusterSpec, GpuId, LeaseId, Provisioner,
-    ServerId, TierConfig, TransferEngine,
+    BackgroundProfile, BackgroundTenants, Cluster, ClusterSpec, GpuId, GpuSet, LeaseId,
+    Provisioner, ServerId, TierConfig, TransferEngine,
 };
 use flexpipe_metrics::{DisruptionLedger, OutcomeLog, Timeline, UtilizationLedger};
 use flexpipe_model::{CostModel, MaxBatchTable, ModelGraph, OpRange};
@@ -247,7 +247,7 @@ pub struct EngineState {
     pub(super) policy_dirty: std::collections::BTreeSet<InstanceId>,
     pub(super) pending_refactors: HashMap<InstanceId, PendingRefactor>,
     pub(super) host_cache: HashMap<(u32, u32), HostCacheEntry>,
-    pub(super) gpus_in_use: std::collections::HashSet<GpuId>,
+    pub(super) gpus_in_use: GpuSet,
     pub(super) script: DisruptionScript,
     pub(super) pending_revocations: BTreeMap<GpuId, SimTime>,
     pub(super) next_instance: u64,
@@ -596,7 +596,7 @@ impl Engine {
             policy_dirty: std::collections::BTreeSet::new(),
             pending_refactors: HashMap::new(),
             host_cache: HashMap::new(),
-            gpus_in_use: std::collections::HashSet::new(),
+            gpus_in_use: GpuSet::new(),
             script: scenario.disruptions.sorted(),
             pending_revocations: BTreeMap::new(),
             next_instance: 0,

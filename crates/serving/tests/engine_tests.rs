@@ -93,7 +93,7 @@ impl ControlPolicy for RefactorOnce {
             .gpus()
             .iter()
             .map(|g| g.id)
-            .filter(|g| !in_use.contains(g))
+            .filter(|&g| !in_use.contains(g))
             .collect();
         for i in 0..new_ranges.len() {
             if i < inst.stages as usize {
@@ -658,7 +658,7 @@ impl ControlPolicy for RebuildOnWound {
                 .gpus()
                 .iter()
                 .map(|g| g.id)
-                .filter(|g| !in_use.contains(g) && !revoked.contains(g))
+                .filter(|&g| !in_use.contains(g) && !revoked.contains(&g))
                 .collect();
             let assignments = new_ranges
                 .iter()
@@ -935,7 +935,7 @@ fn graced_preemption_gives_policies_a_migration_window() {
                     .gpus()
                     .iter()
                     .map(|g| g.id)
-                    .filter(|g| !in_use.contains(g) && !doomed.contains(g))
+                    .filter(|&g| !in_use.contains(g) && !doomed.contains(&g))
                     .collect();
                 let mut assignments = Vec::new();
                 let mut new_ranges = Vec::new();

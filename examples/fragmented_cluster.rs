@@ -87,7 +87,7 @@ fn main() {
     let candidates: Vec<GpuId> = cluster.topology().gpus().iter().map(|g| g.id).collect();
     println!("\n== Eq. (6)-(9) placement of an 8-stage OPT-66B pipeline ==");
     for cv in [0.3, 6.0] {
-        match optimizer.assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, &[], cv) {
+        match optimizer.assign(&cluster, &graph, &cost, 0.6, &needs, &candidates, cv) {
             Some(a) => {
                 let shared = a
                     .gpus
