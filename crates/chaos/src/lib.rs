@@ -8,8 +8,7 @@
 //!
 //! - [`script`] — the declarative [`DisruptionScript`]: timed
 //!   [`Disruption`] events (GPU failures, spot preemptions with a grace
-//!   window, capacity returns, arrival-rate surges) expressible in JSON or
-//!   the fleet's TOML subset;
+//!   window, capacity returns, arrival-rate surges) expressible in JSON;
 //! - [`gen`] — seed-derived MTBF-style stochastic generators
 //!   ([`RandomDisruptions`]) that realize a script deterministically from a
 //!   fleet cell seed, so every policy in a cell group faces the identical

@@ -21,8 +21,8 @@ use serde::{Deserialize, Serialize};
 
 use flexpipe_cluster::GpuId;
 use flexpipe_serving::{
-    ActionError, ControlPolicy, CrippledInstance, Ctx, DisruptionNotice, EngineMode, EngineState,
-    InstanceId, InstanceSnapshot, InstanceState, Placement, RefactorPlan, StageAssign,
+    ActionError, ControlPolicy, CrippledInstance, Ctx, DisruptionNotice, EngineState, InstanceId,
+    InstanceSnapshot, InstanceState, Placement, RefactorPlan, StageAssign,
 };
 use flexpipe_sim::{SimDuration, SimTime};
 
@@ -120,10 +120,9 @@ impl Default for FlexPipeConfig {
 /// off-target set the refactor pass iterates, so a calm tick — the common
 /// case — costs O(|dirty|) instead of O(fleet).
 ///
-/// Only the [`EngineMode::Indexed`] path maintains it; under
-/// [`EngineMode::NaiveScan`] the policy re-snapshots the whole fleet each
-/// tick, which is the retained reference the debug build cross-validates
-/// against ([`FleetMirror::validate`]).
+/// The mirror is the policy's only fleet view. A from-scratch snapshot
+/// survives only as the reference the debug build checks it against
+/// every tick ([`FleetMirror::validate`]).
 #[derive(Debug, Default)]
 struct FleetMirror {
     instances: BTreeMap<InstanceId, InstanceSnapshot>,
@@ -238,7 +237,8 @@ impl FleetMirror {
 /// hysteresis comparison is re-evaluated per distinct *level*, O(#levels),
 /// instead of per instance, O(fleet)). When every level still fails the
 /// comparison, the whole O(|off_target|) walk is provably a no-op and is
-/// skipped.
+/// skipped; debug builds re-run the walk's per-instance decision over
+/// the off-target set to check that claim on every skip.
 #[derive(Debug)]
 struct PlanCache {
     /// Eq. (4) target level the cached walk ran against.
@@ -250,6 +250,21 @@ struct PlanCache {
     next_dwell: SimTime,
 }
 
+/// What the Algorithm-1 refactor walk does with one off-target serving
+/// instance ([`FlexPipePolicy::walk_step`]).
+#[derive(Debug)]
+enum WalkStep {
+    /// Consolidating below the instance's live load could not commit:
+    /// hold its admissions so the load drains toward the target capacity.
+    Hold,
+    /// Refactored too recently; the dwell window closes at this instant.
+    Dwell(SimTime),
+    /// The target level beats the current one by the hysteresis margin.
+    Refactor,
+    /// Nothing to do this tick.
+    Skip,
+}
+
 /// The FlexPipe policy.
 pub struct FlexPipePolicy {
     cfg: FlexPipeConfig,
@@ -259,8 +274,7 @@ pub struct FlexPipePolicy {
     last_refactor: HashMap<InstanceId, SimTime>,
     holds: std::collections::HashSet<InstanceId>,
     mirror: FleetMirror,
-    /// Calm-tick refactor-pass memo ([`EngineMode::Indexed`] only; the
-    /// naive reference walks from scratch every tick).
+    /// Calm-tick refactor-pass memo.
     plan_cache: Option<PlanCache>,
     low_demand_ticks: u32,
     pending_target: Option<u32>,
@@ -364,6 +378,67 @@ impl FlexPipePolicy {
             ctx.spawn_prewarmed(stages, Placement::Explicit(assignment.gpus))
         } else {
             ctx.spawn(stages, Placement::Explicit(assignment.gpus))
+        }
+    }
+
+    /// The refactor walk's decision for one off-target serving instance
+    /// against `target`, whose Eq. (4) score is `s_target`. `s_current`
+    /// memoizes current-level scores across one walk; its keys are the
+    /// levels that reached the hysteresis comparison.
+    fn walk_step(
+        &self,
+        inst: &InstanceSnapshot,
+        target: &LevelProfile,
+        s_target: f64,
+        nu_eff: f64,
+        now: SimTime,
+        s_current: &mut HashMap<u32, f64>,
+    ) -> WalkStep {
+        // A consolidation below the instance's live load cannot commit
+        // (the merged stages could not hold the admitted KV): hold
+        // admissions so the load drains toward the target capacity, then
+        // refactor on a later tick.
+        if target.batch_cap * 3 / 4 < inst.active_requests {
+            return WalkStep::Hold;
+        }
+        if let Some(&t) = self.last_refactor.get(&inst.id) {
+            if now.saturating_since(t) < self.cfg.min_dwell {
+                return WalkStep::Dwell(t + self.cfg.min_dwell);
+            }
+        }
+        let Some(current) = self.level_for_stages(inst.stages) else {
+            return WalkStep::Skip;
+        };
+        let s_current = *s_current
+            .entry(inst.stages)
+            .or_insert_with(|| score(&current, &self.profiles, &self.cfg.granularity, nu_eff));
+        if s_target > self.cfg.hysteresis * s_current {
+            WalkStep::Refactor
+        } else {
+            WalkStep::Skip
+        }
+    }
+
+    /// Debug-build check of a plan-cache skip: the skipped walk would
+    /// have held nothing and refactored nothing. Re-runs the walk's
+    /// per-instance decision over the mirror's off-target set, which the
+    /// armed cache guarantees is still maintained against `target`.
+    #[cfg(debug_assertions)]
+    fn debug_validate_cached_skip(&self, target: &LevelProfile, nu_eff: f64, now: SimTime) {
+        assert_eq!(
+            self.mirror.target_stages,
+            Some(target.stages),
+            "plan cache skipped against an off-target set for another level"
+        );
+        let s_target = score(target, &self.profiles, &self.cfg.granularity, nu_eff);
+        let mut s_current = HashMap::new();
+        for id in &self.mirror.off_target {
+            let inst = &self.mirror.instances[id];
+            let step = self.walk_step(inst, target, s_target, nu_eff, now, &mut s_current);
+            assert!(
+                !matches!(step, WalkStep::Hold | WalkStep::Refactor),
+                "plan cache skipped a walk that would {step:?} instance {id:?} at {now:?}"
+            );
         }
     }
 
@@ -640,18 +715,13 @@ impl ControlPolicy for FlexPipePolicy {
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<'_>) {
-        // Drain the engine's dirty set unconditionally so deltas never
-        // accumulate across ticks; only the warm-start path consumes them.
-        // The from-scratch reference (NaiveScan) re-snapshots the fleet
-        // below, exactly as before the incremental solver existed.
+        // Fold the engine's dirty set into the fleet mirror every tick, so
+        // deltas never accumulate across ticks.
         let deltas = ctx.take_dirty();
-        let warm = ctx.mode() == EngineMode::Indexed;
-        if warm {
-            self.mirror.apply(&deltas);
-        }
+        self.mirror.apply(&deltas);
         // Any delta changes the fleet view the cached walk read; the
         // memoized plan is no longer evidence of anything.
-        if !deltas.is_empty() || !warm {
+        if !deltas.is_empty() {
             self.plan_cache = None;
         }
         let now = ctx.now();
@@ -676,25 +746,10 @@ impl ControlPolicy for FlexPipePolicy {
             self.pending_ticks >= self.cfg.confirm_ticks && now >= SimTime::ZERO + self.cfg.warmup;
 
         // --- Replica accounting first: refactors are calm-time actions. ---
-        // Warm path: the counters fall out of the delta fold above; no
-        // fleet walk. Naive path: snapshot everything from scratch.
-        let naive_view: Option<Vec<InstanceSnapshot>> = if warm {
-            #[cfg(debug_assertions)]
-            self.mirror.validate(ctx);
-            None
-        } else {
-            Some(ctx.instances())
-        };
-        let (live, any_loading) = match &naive_view {
-            Some(instances) => (
-                instances
-                    .iter()
-                    .filter(|i| FleetMirror::is_live(i.state))
-                    .count() as u32,
-                instances.iter().any(|i| i.state == InstanceState::Loading),
-            ),
-            None => (self.mirror.live, self.mirror.loading > 0),
-        };
+        // The counters fall out of the delta fold above; no fleet walk.
+        #[cfg(debug_assertions)]
+        self.mirror.validate(ctx);
+        let (live, any_loading) = (self.mirror.live, self.mirror.loading > 0);
         let drain_target_secs = 15.0;
         let pressure_active = queue > 64;
         let pressure = if pressure_active {
@@ -730,13 +785,12 @@ impl ControlPolicy for FlexPipePolicy {
             .iter()
             .copied()
             .filter(|id| {
-                pressure_active || {
-                    let stages = match &naive_view {
-                        Some(instances) => instances.iter().find(|i| i.id == *id).map(|i| i.stages),
-                        None => self.mirror.instances.get(id).map(|i| i.stages),
-                    };
-                    stages.is_none_or(|s| s == target.stages)
-                }
+                pressure_active
+                    || self
+                        .mirror
+                        .instances
+                        .get(id)
+                        .is_none_or(|i| i.stages == target.stages)
             })
             .collect();
         for id in stale {
@@ -771,30 +825,23 @@ impl ControlPolicy for FlexPipePolicy {
                     })
                 }
             });
-            if !cached_skip {
-                // The warm path walks only the maintained off-target set (in
-                // id order, matching the naive snapshot's iteration order);
-                // the naive path filters the full snapshot — same set, same
-                // order. Retargeting happens here, at the set's only
-                // consumer, so a flapping Eq. (4) argmax on non-calm ticks
-                // never pays the rebuild; between consumptions `apply`
-                // maintains membership against the last consumed level.
-                let off_target: Vec<InstanceSnapshot> = match &naive_view {
-                    Some(instances) => instances
-                        .iter()
-                        .filter(|i| i.state == InstanceState::Serving && i.stages != target.stages)
-                        .copied()
-                        .collect(),
-                    None => {
-                        self.mirror.retarget(target.stages);
-                        self.mirror
-                            .off_target
-                            .iter()
-                            .filter_map(|id| self.mirror.instances.get(id))
-                            .copied()
-                            .collect()
-                    }
-                };
+            if cached_skip {
+                #[cfg(debug_assertions)]
+                self.debug_validate_cached_skip(&target, nu_eff, now);
+            } else {
+                // Walk only the maintained off-target set, in id order.
+                // Retargeting happens here, at the set's only consumer, so
+                // a flapping Eq. (4) argmax on non-calm ticks never pays
+                // the rebuild; between consumptions `apply` maintains
+                // membership against the last consumed level.
+                self.mirror.retarget(target.stages);
+                let off_target: Vec<InstanceSnapshot> = self
+                    .mirror
+                    .off_target
+                    .iter()
+                    .filter_map(|id| self.mirror.instances.get(id))
+                    .copied()
+                    .collect();
                 // Eq. (4) scores depend only on the lattice level, never on
                 // the individual instance: score the target once and memoize
                 // the current-level scores across the pass.
@@ -803,34 +850,24 @@ impl ControlPolicy for FlexPipePolicy {
                 let mut acted = false;
                 let mut next_dwell = SimTime::MAX;
                 for inst in &off_target {
-                    // A consolidation below the instance's live load cannot
-                    // commit (the merged stages could not hold the admitted
-                    // KV): hold admissions so the load drains toward the
-                    // target capacity, then refactor on a later tick.
-                    if target.batch_cap * 3 / 4 < inst.active_requests {
-                        ctx.set_admit_hold(inst.id, true);
-                        self.holds.insert(inst.id);
-                        acted = true;
-                        continue;
-                    }
-                    if let Some(&t) = self.last_refactor.get(&inst.id) {
-                        if now.saturating_since(t) < self.cfg.min_dwell {
-                            next_dwell = next_dwell.min(t + self.cfg.min_dwell);
-                            continue;
+                    match self.walk_step(inst, &target, s_target, nu_eff, now, &mut s_current_memo)
+                    {
+                        WalkStep::Hold => {
+                            ctx.set_admit_hold(inst.id, true);
+                            self.holds.insert(inst.id);
+                            acted = true;
                         }
-                    }
-                    let Some(current) = self.level_for_stages(inst.stages) else {
-                        continue;
-                    };
-                    let s_current = *s_current_memo.entry(inst.stages).or_insert_with(|| {
-                        score(&current, &self.profiles, &self.cfg.granularity, nu_eff)
-                    });
-                    if s_target > self.cfg.hysteresis * s_current {
-                        self.try_refactor(ctx, inst, &target, rate, cv);
-                        acted = true;
+                        WalkStep::Dwell(until) => next_dwell = next_dwell.min(until),
+                        WalkStep::Refactor => {
+                            self.try_refactor(ctx, inst, &target, rate, cv);
+                            acted = true;
+                        }
+                        WalkStep::Skip => {}
                     }
                 }
-                self.plan_cache = if warm && !acted {
+                self.plan_cache = if acted {
+                    None
+                } else {
                     let mut score_levels: Vec<u32> = s_current_memo.into_keys().collect();
                     score_levels.sort_unstable();
                     Some(PlanCache {
@@ -838,8 +875,6 @@ impl ControlPolicy for FlexPipePolicy {
                         score_levels,
                         next_dwell,
                     })
-                } else {
-                    None
                 };
             }
         }

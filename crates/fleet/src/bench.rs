@@ -4,22 +4,18 @@
 //! grids, a [`BenchSpec`] holds the policy fixed and sweeps the *engine
 //! tunables* — decode micro-batch size, chunked-prefill token cap,
 //! admission (prefill) batch — crossed with request rates up to 10× the
-//! paper's 20 QPS, in both admission modes (the indexed fast path and the
-//! retained naive reference scan). Every cell reports the usual
-//! steady-state quality metrics plus *wall-clock* columns (events per
-//! wall-second, simulated-seconds per wall-second), which is what turns
-//! the ROADMAP's "drain_gateway will dominate at 10× the rate" from a
-//! hunch into a measured table.
+//! paper's 20 QPS. Every cell reports the usual steady-state quality
+//! metrics plus informational *wall-clock* columns (events per
+//! wall-second, simulated-seconds per wall-second); performance itself is
+//! measured by the repository benchmark (`perfbench/`).
 //!
 //! Determinism contract: the JSON artifact ([`BenchReport`]) contains
 //! only simulation-derived values and is byte-stable across runs and
 //! thread counts. Wall-clock measurements live in a separate
 //! [`BenchTiming`] vector that feeds the rendered tables and never enters
 //! the artifact. Cell seeds derive from the *rate alone* (not the
-//! tunables, not the admission mode), so every configuration at a rate
-//! faces byte-identical traffic — and the two admission modes of one
-//! coordinate must produce identical metrics, which
-//! [`BenchReport::mode_mismatches`] verifies.
+//! tunables), so every configuration at a rate faces byte-identical
+//! traffic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -28,7 +24,7 @@ use flexpipe_bench::PaperSetup;
 use flexpipe_chaos::DisruptionScript;
 use flexpipe_metrics::{fmt_f, fmt_pct, Table};
 use flexpipe_model::ModelId;
-use flexpipe_serving::{AdmissionMode, Engine, EngineConfig, Scenario};
+use flexpipe_serving::{Engine, EngineConfig, Scenario};
 use flexpipe_sim::{SimDuration, SimRng, SimTime};
 use flexpipe_workload::{ArrivalSpec, LengthProfile, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -43,7 +39,7 @@ use crate::spec::{
 
 /// A declarative engine-tunable bench: one model, cluster, policy and
 /// arrival CV; four tunable axes (rate × ubatch × prefill cap × admission
-/// batch) crossed with the admission-mode axis.
+/// batch).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchSpec {
     /// Bench name (report headers, artifact names).
@@ -81,9 +77,6 @@ pub struct BenchSpec {
     pub prefill_token_caps: Vec<u64>,
     /// Admission (prefill) batch axis.
     pub admission_batches: Vec<u32>,
-    /// Admission-mode axis; `[Indexed]` benches the fast path alone,
-    /// `[Indexed, NaiveScan]` A/Bs it against the reference scan.
-    pub admission: Vec<AdmissionMode>,
 }
 
 /// One expanded bench cell.
@@ -99,31 +92,17 @@ pub struct BenchCell {
     pub prefill_token_cap: u64,
     /// Admission (prefill) batch.
     pub admission_batch: u32,
-    /// Admission mode under test.
-    pub admission: AdmissionMode,
     /// Workload seed — derived from the rate alone, so every tunable
-    /// configuration and both admission modes face identical traffic.
+    /// configuration faces identical traffic.
     pub seed: u64,
 }
 
 impl BenchCell {
-    /// Stable cell id, e.g. `r100-ub128-pc1024-ab16-indexed`.
+    /// Stable cell id, e.g. `r100-ub128-pc1024-ab16`.
     pub fn id(&self) -> String {
         format!(
-            "r{}-ub{}-pc{}-ab{}-{}",
+            "r{}-ub{}-pc{}-ab{}",
             fmt_axis(self.rate),
-            self.ubatch_size,
-            self.prefill_token_cap,
-            self.admission_batch,
-            self.admission.label()
-        )
-    }
-
-    /// The cell's tunable coordinate with the admission mode masked out —
-    /// the key under which the two modes must agree metric-for-metric.
-    pub fn coordinate(&self) -> (u64, u32, u64, u32) {
-        (
-            self.rate.to_bits(),
             self.ubatch_size,
             self.prefill_token_cap,
             self.admission_batch,
@@ -138,8 +117,7 @@ pub fn derive_bench_seed(root: u64, rate: f64) -> u64 {
 
 impl BenchSpec {
     /// Expands the bench into its cell grid, in deterministic order:
-    /// rates (outer) × ubatch × prefill cap × admission batch × admission
-    /// mode (inner — so A/B pairs are adjacent rows).
+    /// rates (outer) × ubatch × prefill cap × admission batch (inner).
     pub fn expand(&self) -> Vec<BenchCell> {
         let mut cells = Vec::new();
         for &rate in &self.rates {
@@ -147,17 +125,14 @@ impl BenchSpec {
             for &ubatch_size in &self.ubatch_sizes {
                 for &prefill_token_cap in &self.prefill_token_caps {
                     for &admission_batch in &self.admission_batches {
-                        for &admission in &self.admission {
-                            cells.push(BenchCell {
-                                index: cells.len(),
-                                rate,
-                                ubatch_size,
-                                prefill_token_cap,
-                                admission_batch,
-                                admission,
-                                seed,
-                            });
-                        }
+                        cells.push(BenchCell {
+                            index: cells.len(),
+                            rate,
+                            ubatch_size,
+                            prefill_token_cap,
+                            admission_batch,
+                            seed,
+                        });
                     }
                 }
             }
@@ -168,11 +143,8 @@ impl BenchSpec {
     /// The canonical semantic content of one bench cell, for the campaign
     /// cache ([`crate::cache::cell_key`]). Mirrors
     /// [`crate::spec::SweepSpec::cell_semantics`]: `name` and `max_events`
-    /// are excluded (cosmetic / watchdog), the axis vectors are captured
-    /// by the cell coordinate, and — unlike sweeps — the admission mode
-    /// *is* included, because bench cells are the A/B rows whose identity
-    /// the mode defines (the modes' metric agreement stays an explicit
-    /// [`BenchReport::mode_mismatches`] check, never a cache aliasing).
+    /// are excluded (cosmetic / watchdog), and the axis vectors are
+    /// captured by the cell coordinate.
     pub fn cell_semantics(&self, cell: &BenchCell) -> serde::Value {
         let field = |k: &str, v: serde::Value| (k.to_string(), v);
         serde::Value::Map(vec![
@@ -194,7 +166,6 @@ impl BenchSpec {
             field("ubatch_size", cell.ubatch_size.to_value()),
             field("prefill_token_cap", cell.prefill_token_cap.to_value()),
             field("admission_batch", cell.admission_batch.to_value()),
-            field("admission", cell.admission.to_value()),
             field("seed", cell.seed.to_value()),
         ])
     }
@@ -205,7 +176,6 @@ impl BenchSpec {
             || self.ubatch_sizes.is_empty()
             || self.prefill_token_caps.is_empty()
             || self.admission_batches.is_empty()
-            || self.admission.is_empty()
         {
             return Err("every bench axis needs at least one entry".into());
         }
@@ -228,18 +198,12 @@ impl BenchSpec {
         if self.max_events == 0 {
             return Err("max_events watchdog budget must be positive".into());
         }
-        let mut modes = std::collections::BTreeSet::new();
-        for m in &self.admission {
-            if !modes.insert(m.label()) {
-                return Err(format!("duplicate admission mode `{}`", m.label()));
-            }
-        }
         Ok(())
     }
 
     /// The default high-rate bench (`fleet bench init`): FlexPipe on the
     /// paper testbed at CV 4, rates up to 10× the paper's 20 QPS,
-    /// 2×2×2 tunable grid, indexed admission.
+    /// 2×2×2 tunable grid.
     pub fn template() -> BenchSpec {
         BenchSpec {
             name: "engine-bench".into(),
@@ -259,7 +223,6 @@ impl BenchSpec {
             ubatch_sizes: vec![64, 128],
             prefill_token_caps: vec![512, 1024],
             admission_batches: vec![8, 16],
-            admission: vec![AdmissionMode::Indexed],
         }
     }
 }
@@ -319,24 +282,6 @@ impl BenchReport {
         Ok(report)
     }
 
-    /// Coordinates at which two admission modes disagreed on *any*
-    /// simulation metric. Must be empty — the index is a pure
-    /// optimization; a non-empty return is an engine bug.
-    pub fn mode_mismatches(&self) -> Vec<String> {
-        let mut by_coord: std::collections::BTreeMap<(u64, u32, u64, u32), Vec<&BenchCellResult>> =
-            std::collections::BTreeMap::new();
-        for c in &self.cells {
-            by_coord.entry(c.cell.coordinate()).or_default().push(c);
-        }
-        let mut bad = Vec::new();
-        for group in by_coord.values() {
-            if group.iter().any(|c| c.metrics != group[0].metrics) {
-                bad.push(group[0].cell.id());
-            }
-        }
-        bad
-    }
-
     /// The per-cell table, joining deterministic metrics with wall-clock
     /// throughput columns (events per wall-second, simulated seconds per
     /// wall-second).
@@ -355,7 +300,6 @@ impl BenchReport {
                 "ubatch",
                 "prefill cap",
                 "adm batch",
-                "mode",
                 "offered",
                 "completed",
                 "SLO att.",
@@ -382,7 +326,6 @@ impl BenchReport {
                 c.cell.ubatch_size.to_string(),
                 c.cell.prefill_token_cap.to_string(),
                 c.cell.admission_batch.to_string(),
-                c.cell.admission.label().to_string(),
                 m.offered.to_string(),
                 m.completed.to_string(),
                 fmt_pct(m.slo_attainment),
@@ -402,75 +345,6 @@ impl BenchReport {
             ]);
         }
         t
-    }
-
-    /// The indexed-vs-naive comparison table: one row per tunable
-    /// coordinate that ran in both modes, with the wall-clock speedup and
-    /// a metrics-identical check. Empty when fewer than two modes ran.
-    pub fn speedup_table(&self, timings: &[BenchTiming]) -> Option<Table> {
-        if self.spec.admission.len() < 2 {
-            return None;
-        }
-        let wall_of = |index: usize| -> Option<f64> {
-            timings
-                .iter()
-                .find(|t| t.index == index)
-                .map(|t| t.wall_secs)
-        };
-        let mut t = Table::new(
-            &format!(
-                "Bench `{}`: indexed fast path vs naive reference scan",
-                self.spec.name
-            ),
-            &[
-                "rate",
-                "ubatch",
-                "prefill cap",
-                "adm batch",
-                "indexed(s)",
-                "naive(s)",
-                "speedup",
-                "sim-identical",
-            ],
-        );
-        let mut by_coord: std::collections::BTreeMap<(u64, u32, u64, u32), Vec<&BenchCellResult>> =
-            std::collections::BTreeMap::new();
-        for c in &self.cells {
-            by_coord.entry(c.cell.coordinate()).or_default().push(c);
-        }
-        for group in by_coord.values() {
-            let indexed = group
-                .iter()
-                .find(|c| c.cell.admission == AdmissionMode::Indexed);
-            let naive = group
-                .iter()
-                .find(|c| c.cell.admission == AdmissionMode::NaiveScan);
-            let (Some(ix), Some(nv)) = (indexed, naive) else {
-                continue;
-            };
-            let iw = wall_of(ix.cell.index);
-            let nw = wall_of(nv.cell.index);
-            let speedup = match (iw, nw) {
-                (Some(i), Some(n)) if i > 0.0 => fmt_f(n / i, 2),
-                _ => "-".into(),
-            };
-            t.row(vec![
-                fmt_axis(ix.cell.rate),
-                ix.cell.ubatch_size.to_string(),
-                ix.cell.prefill_token_cap.to_string(),
-                ix.cell.admission_batch.to_string(),
-                iw.map(|w| fmt_f(w, 2)).unwrap_or_else(|| "-".into()),
-                nw.map(|w| fmt_f(w, 2)).unwrap_or_else(|| "-".into()),
-                speedup,
-                if ix.metrics == nv.metrics {
-                    "yes"
-                } else {
-                    "NO"
-                }
-                .to_string(),
-            ]);
-        }
-        Some(t)
     }
 }
 
@@ -507,7 +381,6 @@ pub fn run_bench_cell(
             ubatch_size: cell.ubatch_size,
             prefill_token_cap: cell.prefill_token_cap,
             prefill_batch: cell.admission_batch,
-            admission: cell.admission,
             max_events: spec.max_events,
             ..EngineConfig::default()
         },
@@ -522,8 +395,7 @@ pub fn run_bench_cell(
     };
     let policy = spec.policy.build(cell.rate);
     // Wall-clock brackets the engine run only: workload generation and
-    // metric summarisation are identical across modes and would dilute
-    // the admission-path signal.
+    // metric summarisation would dilute the engine's throughput columns.
     let started = Instant::now();
     let report = Engine::new(scenario, setup.graph.clone(), setup.lattice.clone(), policy).run();
     let wall_secs = started.elapsed().as_secs_f64();
@@ -545,14 +417,13 @@ pub fn run_bench(
     let started = Instant::now();
     if !opts.quiet {
         eprintln!(
-            "bench `{}`: {} cells ({} rates x {} ubatch x {} prefill caps x {} adm batches x {} modes), model {}",
+            "bench `{}`: {} cells ({} rates x {} ubatch x {} prefill caps x {} adm batches), model {}",
             spec.name,
             n,
             spec.rates.len(),
             spec.ubatch_sizes.len(),
             spec.prefill_token_caps.len(),
             spec.admission_batches.len(),
-            spec.admission.len(),
             spec.model.name(),
         );
     }
@@ -641,7 +512,6 @@ mod tests {
             ubatch_sizes: vec![32],
             prefill_token_caps: vec![256],
             admission_batches: vec![8],
-            admission: vec![AdmissionMode::Indexed, AdmissionMode::NaiveScan],
         }
     }
 
@@ -660,7 +530,7 @@ mod tests {
         // Ids are unique.
         let ids: std::collections::BTreeSet<String> = a.iter().map(|c| c.id()).collect();
         assert_eq!(ids.len(), a.len());
-        assert_eq!(a[0].id(), "r20-ub64-pc512-ab8-indexed");
+        assert_eq!(a[0].id(), "r20-ub64-pc512-ab8");
     }
 
     #[test]
@@ -670,9 +540,6 @@ mod tests {
         assert!(s.validate().is_err());
         let mut s = BenchSpec::template();
         s.ubatch_sizes = vec![0];
-        assert!(s.validate().is_err());
-        let mut s = BenchSpec::template();
-        s.admission = vec![AdmissionMode::Indexed, AdmissionMode::Indexed];
         assert!(s.validate().is_err());
         let mut s = BenchSpec::template();
         s.cv = -1.0;
@@ -749,10 +616,7 @@ mod tests {
         assert_eq!(timings.len(), a.cells.len());
         // Cells actually served traffic.
         assert!(a.cells.iter().all(|c| c.metrics.completed > 0));
-        // The indexed fast path and the naive scan agree on every metric.
-        assert_eq!(a.mode_mismatches(), Vec::<String>::new());
-        // Tables render.
+        // The table renders.
         assert!(!a.table(&timings).is_empty());
-        assert!(!a.speedup_table(&timings).unwrap().is_empty());
     }
 }

@@ -3,12 +3,10 @@
 //!
 //! ```text
 //! flexpipe-fleet init [spec.json]                 write a 24-cell template sweep
-//! flexpipe-fleet run <spec.{json,toml}> [options] execute the sweep in parallel
+//! flexpipe-fleet run <spec.json> [options]        execute the sweep in parallel
 //!     --out <report.json>     write the JSON artifact (default: <spec>.report.json)
 //!     --threads <n>           worker threads (default: one per core)
 //!     --quiet                 suppress per-cell progress on stderr
-//!     --admission <mode>      `indexed` (default) or `naive` — byte-identical
-//!                             reports, different wall-clock
 //!     --gate <baseline.json>  one-shot CI mode: gate the fresh report
 //!                             against a committed baseline after the run
 //!     --tolerance <frac>      gate tolerance when --gate is given
@@ -17,25 +15,25 @@
 //! flexpipe-fleet bench init [bench.json]          write the engine-tunable bench template
 //! flexpipe-fleet bench <bench.json> [options]     sweep engine tunables × rates
 //!     --out <report.json>     write the byte-stable artifact (wall-clock excluded)
-//!     --threads <n>           worker threads (use 1 for clean A/B timing)
+//!     --threads <n>           worker threads (the artifact is byte-identical
+//!                             at any count)
 //!     --rates <a,b,..>        override the spec's rate axis (CI smoke: --rates 100)
 //!     --quiet                 suppress per-cell progress on stderr
 //! flexpipe-fleet campaign init [campaign.json]    write the CI campaign template
-//! flexpipe-fleet campaign <campaign.(json|toml)> [options]
+//! flexpipe-fleet campaign <campaign.json> [options]
 //!     --out-dir <dir>         artifact directory (default <name>.campaign):
 //!                             one <spec>.report.json per entry + campaign.json
 //!     --cache <dir>           override the spec's cache directory
 //!     --no-cache              compute every cell, touch no cache
 //!     --threads <n>           worker threads (default: one per core)
 //!     --quiet                 suppress per-cell progress on stderr
-//!     --admission <mode>      `indexed` (default) or `naive`
 //!     --assert-warm           exit 2 unless every cell was a cache hit
 //!     --gate <dir>            gate each sweep artifact against the same-named
 //!                             report in <dir>; exit 2 on any regression
 //!     --tolerance <frac>      gate tolerance when --gate is given
 //!     --verbose               per-cell start/finish lines with cache
 //!                             hit/miss and wall ms on stderr
-//! flexpipe-fleet campaign assemble <campaign.(json|toml)> [options]
+//! flexpipe-fleet campaign assemble <campaign.json> [options]
 //!     --cache <dir>           override the spec's cache directory
 //!     --out-dir <dir>         artifact directory (default <name>.campaign);
 //!                             assembles the manifest + reports from the
@@ -43,7 +41,7 @@
 //!                             Exit 2 naming every missing key when the
 //!                             cache is incomplete: the push-button "did
 //!                             the worker fleet finish?" check
-//! flexpipe-fleet worker <campaign.(json|toml)> [options]
+//! flexpipe-fleet worker <campaign.json> [options]
 //!     --cache <dir>           override the spec's cache directory
 //!     --store localdisk|log   backend for a fresh cache dir (an existing
 //!                             dir keeps its detected backend)
@@ -59,14 +57,12 @@
 //!                             draining)
 //!     --threads <n>           worker threads (default: one per core)
 //!     --quiet                 suppress per-cell progress on stderr
-//!     --admission <mode>      `indexed` (default) or `naive`
-//! flexpipe-fleet trace record <spec.(json|toml)> [options]
+//! flexpipe-fleet trace record <spec.json> [options]
 //!     --cell <id>             cell to trace (default: the grid's first cell)
 //!     --mode off|ring[:N]|full  recorder mode (default full)
 //!     --out <trace.jsonl>     trace file (default <cell-id>.trace.jsonl);
 //!                             virtual-time stamped, byte-stable across
-//!                             thread counts and admission modes
-//!     --admission <mode>      `indexed` (default) or `naive`
+//!                             runs and thread counts
 //! flexpipe-fleet trace summarize <trace.jsonl>    per-kind counts + occupancy table
 //! flexpipe-fleet trace diff <a.jsonl> <b.jsonl>   semantic first-divergence report
 //!                                                 (per-entity, modulo the commutation
@@ -133,8 +129,11 @@
 //!     --strict-cells          grid changes fail the gate
 //! ```
 //!
+//! Every spec file is JSON. A flag a verb does not take is a usage error
+//! that names the flag.
+//!
 //! Exit codes: 0 success / gate pass, 1 usage or I/O error, 2 gate /
-//! `--assert-warm` / bench-mode-mismatch fail.
+//! `--assert-warm` fail.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -155,11 +154,11 @@ use flexpipe_gateway::{
 };
 use flexpipe_metrics::{fmt_f, Table};
 use flexpipe_obs::{first_divergence, parse_jsonl, TraceRecord, TraceSummary};
-use flexpipe_serving::{AdmissionMode, TraceMode, ENGINE_SEMANTICS_VERSION};
+use flexpipe_serving::{TraceMode, ENGINE_SEMANTICS_VERSION};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.(json|toml)> [--out report.json] [--threads N] [--quiet] [--verbose] [--admission indexed|naive] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.(json|toml)> [--out report.json] [--threads N] [--rates 100,200] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.(json|toml)> [--out-dir DIR] [--cache DIR | --no-cache] [--store localdisk|log] [--threads N] [--quiet] [--verbose] [--admission indexed|naive] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.(json|toml)> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.(json|toml)> [--cache DIR] [--store localdisk|log] [--shard i/n | --claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet] [--admission indexed|naive]\n  flexpipe-fleet trace record <spec.(json|toml)> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl] [--admission indexed|naive]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace diff <a.jsonl> <b.jsonl> [--textual]\n  flexpipe-fleet trace profile [--instances N]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
+        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.json> [--out report.json] [--threads N] [--quiet] [--verbose] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.json> [--out report.json] [--threads N] [--rates 100,200] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.json> [--out-dir DIR] [--cache DIR | --no-cache] [--store localdisk|log] [--threads N] [--quiet] [--verbose] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.json> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.json> [--cache DIR] [--store localdisk|log] [--shard i/n | --claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet] [--verbose]\n  flexpipe-fleet trace record <spec.json> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace diff <a.jsonl> <b.jsonl> [--textual]\n  flexpipe-fleet trace profile [--instances N]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
     );
     ExitCode::from(1)
 }
@@ -218,14 +217,16 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-/// Pulls `--admission indexed|naive` out of the argument list.
-fn parse_admission(args: &mut Vec<String>) -> Result<AdmissionMode, ExitCode> {
-    match take_flag_value(args, "--admission")? {
-        None => Ok(AdmissionMode::default()),
-        Some(v) => AdmissionMode::parse(&v).ok_or_else(|| {
-            eprintln!("--admission must be `indexed` or `naive`, got `{v}`");
-            ExitCode::from(1)
-        }),
+/// Refuses a flag the verb does not take. Call once the verb has pulled
+/// out every flag it knows: any argument left that starts with `--` is
+/// unknown, and is named instead of being read as a positional.
+fn reject_unknown_flags(args: &[String], verb: &str) -> Result<(), ExitCode> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => {
+            eprintln!("unknown flag {flag} for {verb}");
+            Err(ExitCode::from(1))
+        }
+        None => Ok(()),
     }
 }
 
@@ -258,6 +259,7 @@ fn load_campaign(spec_path: &str) -> Result<(CampaignSpec, PathBuf), ExitCode> {
 }
 
 fn cmd_init(args: Vec<String>) -> Result<ExitCode, ExitCode> {
+    reject_unknown_flags(&args, "init")?;
     let path = args
         .first()
         .cloned()
@@ -286,7 +288,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     };
     let quiet = take_flag(&mut args, "--quiet");
     let verbose = take_flag(&mut args, "--verbose");
-    let admission = parse_admission(&mut args)?;
     let gate_baseline = take_flag_value(&mut args, "--gate")?;
     let tolerance = match take_flag_value(&mut args, "--tolerance")? {
         Some(t) => t.parse::<f64>().map_err(|_| {
@@ -295,6 +296,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         })?,
         None => GateConfig::default().tolerance,
     };
+    reject_unknown_flags(&args, "run")?;
     let [spec_path] = args.as_slice() else {
         return Err(usage());
     };
@@ -308,7 +310,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         &RunOptions {
             threads,
             quiet,
-            admission,
             verbose,
         },
     )
@@ -344,6 +345,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     // `bench init [path]`: write the engine-tunable template.
     if args.first().map(String::as_str) == Some("init") {
+        reject_unknown_flags(&args, "bench init")?;
         let path = args
             .get(1)
             .cloned()
@@ -371,12 +373,13 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     };
     let quiet = take_flag(&mut args, "--quiet");
     let rates = take_flag_value(&mut args, "--rates")?;
+    reject_unknown_flags(&args, "bench")?;
     let [spec_path] = args.as_slice() else {
         return Err(usage());
     };
 
     let mut spec: BenchSpec = parse_bench(spec_path, &read(spec_path)?).map_err(|e| {
-        eprintln!("cannot parse bench spec {spec_path}: {e}");
+        eprintln!("{e}");
         ExitCode::from(1)
     })?;
     if let Some(rates) = rates {
@@ -401,24 +404,9 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     })?;
 
     println!("{}", report.table(&timings).render());
-    if let Some(t) = report.speedup_table(&timings) {
-        println!("{}", t.render());
-    }
-    // Write the artifact before judging mode agreement: on a mismatch —
-    // an engine bug by definition — the per-cell metrics in the artifact
-    // are exactly the evidence needed to debug it.
     let out_path = out.unwrap_or_else(|| format!("{}.report.json", spec.name));
     write(&out_path, &report.to_json())?;
     eprintln!("wrote bench report to {out_path} (wall-clock excluded: artifact is byte-stable)");
-
-    let mismatches = report.mode_mismatches();
-    if !mismatches.is_empty() {
-        eprintln!(
-            "ERROR: admission modes disagreed on simulation metrics at: {}",
-            mismatches.join(", ")
-        );
-        return Ok(ExitCode::from(2));
-    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -498,6 +486,7 @@ fn serve_table(outcome: &ServeOutcome) -> Table {
 fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     // `serve init [path]`: write the spec template.
     if args.first().map(String::as_str) == Some("init") {
+        reject_unknown_flags(&args, "serve init")?;
         let path = args
             .get(1)
             .cloned()
@@ -519,6 +508,7 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     if args.first().map(String::as_str) == Some("replay") {
         args.remove(0);
         let out_dir = take_flag_value(&mut args, "--out-dir")?;
+        reject_unknown_flags(&args, "serve replay")?;
         let [rec_path] = args.as_slice() else {
             return Err(usage());
         };
@@ -560,6 +550,7 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         None => 1.0,
     };
     let spill = parse_spill(&mut args)?;
+    reject_unknown_flags(&args, "serve")?;
     let [spec_path] = args.as_slice() else {
         return Err(usage());
     };
@@ -607,6 +598,7 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     // `campaign init [path]`: write the CI campaign template.
     if args.first().map(String::as_str) == Some("init") {
+        reject_unknown_flags(&args, "campaign init")?;
         let path = args
             .get(1)
             .cloned()
@@ -643,7 +635,6 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     };
     let quiet = take_flag(&mut args, "--quiet");
     let verbose = take_flag(&mut args, "--verbose");
-    let admission = parse_admission(&mut args)?;
     let assert_warm = take_flag(&mut args, "--assert-warm");
     let gate_dir = take_flag_value(&mut args, "--gate")?;
     let tolerance = match take_flag_value(&mut args, "--tolerance")? {
@@ -657,6 +648,7 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         eprintln!("--no-cache and --cache are mutually exclusive");
         return Err(ExitCode::from(1));
     }
+    reject_unknown_flags(&args, "campaign")?;
     let [spec_path] = args.as_slice() else {
         return Err(usage());
     };
@@ -679,7 +671,6 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             run: RunOptions {
                 threads,
                 quiet,
-                admission,
                 verbose,
             },
             cache_dir,
@@ -706,21 +697,8 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     })?;
     eprintln!("wrote {} artifacts to {out_dir}", written.len());
 
-    // Failure checks, in escalating order of specificity; all exit 2.
+    // Failure checks; both exit 2.
     let mut failed = false;
-    for (entry, report) in result.manifest.entries.iter().zip(&result.reports) {
-        if let SpecReport::Bench(r) = report {
-            let mismatches = r.mode_mismatches();
-            if !mismatches.is_empty() {
-                eprintln!(
-                    "ERROR: `{}` admission modes disagreed on simulation metrics at: {}",
-                    entry.name,
-                    mismatches.join(", ")
-                );
-                failed = true;
-            }
-        }
-    }
     if assert_warm && result.stats.misses > 0 {
         eprintln!(
             "ERROR: --assert-warm, but {} of {} cells missed the cache",
@@ -756,6 +734,7 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 fn cmd_campaign_assemble(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     let out_dir = take_flag_value(&mut args, "--out-dir")?;
     let cache_override = take_flag_value(&mut args, "--cache")?;
+    reject_unknown_flags(&args, "campaign assemble")?;
     let [spec_path] = args.as_slice() else {
         return Err(usage());
     };
@@ -842,7 +821,7 @@ fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     };
     let quiet = take_flag(&mut args, "--quiet");
     let verbose = take_flag(&mut args, "--verbose");
-    let admission = parse_admission(&mut args)?;
+    reject_unknown_flags(&args, "worker")?;
     let [spec_path] = args.as_slice() else {
         return Err(usage());
     };
@@ -856,7 +835,6 @@ fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         run: RunOptions {
             threads,
             quiet,
-            admission,
             verbose,
         },
         shard,
@@ -892,7 +870,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 })?,
             };
             let out = take_flag_value(&mut args, "--out")?;
-            let admission = parse_admission(&mut args)?;
+            reject_unknown_flags(&args, "trace record")?;
             let [spec_path] = args.as_slice() else {
                 return Err(usage());
             };
@@ -914,7 +892,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 })?,
                 None => spec.expand().remove(0),
             };
-            let (metrics, observed) = record_cell_trace(&spec, &cell, admission, mode);
+            let (metrics, observed) = record_cell_trace(&spec, &cell, mode);
             let out_path = out.unwrap_or_else(|| format!("{}.trace.jsonl", cell.id()));
             write(&out_path, &observed.trace.to_jsonl())?;
             eprintln!(
@@ -937,6 +915,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             Ok(ExitCode::SUCCESS)
         }
         "summarize" => {
+            reject_unknown_flags(&args, "trace summarize")?;
             let [path] = args.as_slice() else {
                 return Err(usage());
             };
@@ -946,6 +925,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         }
         "diff" => {
             let textual = take_flag(&mut args, "--textual");
+            reject_unknown_flags(&args, "trace diff")?;
             let [a, b] = args.as_slice() else {
                 return Err(usage());
             };
@@ -984,6 +964,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 })?,
                 None => 1500,
             };
+            reject_unknown_flags(&args, "trace profile")?;
             if !args.is_empty() {
                 return Err(usage());
             }
@@ -1033,6 +1014,7 @@ fn cmd_check_cross_shard(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         }
         None => flexpipe_gateway::cross_shard_check_spec(shards),
     };
+    reject_unknown_flags(&args, "check equiv --cross-shard")?;
     if !args.is_empty() {
         return Err(usage());
     }
@@ -1089,6 +1071,7 @@ fn cmd_check(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
             if take_flag(&mut args, "--cross-shard") {
                 return cmd_check_cross_shard(args);
             }
+            reject_unknown_flags(&args, "check equiv")?;
             let [a, b] = args.as_slice() else {
                 return Err(usage());
             };
@@ -1117,6 +1100,7 @@ fn cmd_check(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 None => 2048,
             };
             let prune = !take_flag(&mut args, "--no-prune");
+            reject_unknown_flags(&args, "check explore")?;
             if !args.is_empty() {
                 return Err(usage());
             }
@@ -1167,6 +1151,7 @@ fn cmd_check(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         // The fingerprint backstop: recompute the probe scenario's
         // semantic fingerprint and compare against the pinned constant.
         "pin" => {
+            reject_unknown_flags(&args, "check pin")?;
             if !args.is_empty() {
                 return Err(usage());
             }
@@ -1206,6 +1191,7 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 })?,
                 None => flexpipe_fleet::DEFAULT_CLAIM_TTL,
             };
+            reject_unknown_flags(&args, "cache stats")?;
             let [dir] = args.as_slice() else {
                 return Err(usage());
             };
@@ -1262,6 +1248,7 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 );
                 return Err(ExitCode::from(1));
             }
+            reject_unknown_flags(&args, "cache gc")?;
             let [dir] = args.as_slice() else {
                 return Err(usage());
             };
@@ -1287,6 +1274,7 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 }
 
 fn cmd_compare(args: Vec<String>) -> Result<ExitCode, ExitCode> {
+    reject_unknown_flags(&args, "compare")?;
     let [path] = args.as_slice() else {
         return Err(usage());
     };
@@ -1309,6 +1297,7 @@ fn cmd_gate(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         None => GateConfig::default().tolerance,
     };
     let strict_cells = take_flag(&mut args, "--strict-cells");
+    reject_unknown_flags(&args, "gate")?;
     let [candidate_path] = args.as_slice() else {
         return Err(usage());
     };
@@ -1345,10 +1334,10 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(args),
         "check" => cmd_check(args),
         "cache" => cmd_cache(args),
-        "fingerprint" => {
+        "fingerprint" => reject_unknown_flags(&args, "fingerprint").map(|()| {
             println!("{}", cache_salt());
-            Ok(ExitCode::SUCCESS)
-        }
+            ExitCode::SUCCESS
+        }),
         "compare" => cmd_compare(args),
         "gate" => cmd_gate(args),
         "--help" | "-h" | "help" => return usage(),

@@ -9,9 +9,9 @@
 //!    that cannot (`SweepSpec::cell_semantics` /
 //!    `BenchSpec::cell_semantics`). Canonicalization sorts map keys
 //!    recursively and serializes through the typed spec structs, so JSON
-//!    key order, TOML-lite formatting, comments and numeric spelling
-//!    (`120` vs `120.0`) all hash identically while any semantically
-//!    meaningful edit re-keys exactly the dirty cells;
+//!    key order, whitespace and numeric spelling (`120` vs `120.0`) all
+//!    hash identically while any semantically meaningful edit re-keys
+//!    exactly the dirty cells;
 //! 2. the **cell id**, folded in via the semantics' seed/coordinates (two
 //!    cells with identical semantics *are* the same experiment — sharing
 //!    the entry is correct, not a collision);

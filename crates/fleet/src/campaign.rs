@@ -1,7 +1,7 @@
 //! `fleet campaign`: resumable multi-spec campaigns over the
 //! content-addressed per-cell cache.
 //!
-//! A [`CampaignSpec`] (JSON or TOML-lite, like [`SweepSpec`]) lists sweep
+//! A [`CampaignSpec`] (a JSON file, like [`SweepSpec`]) lists sweep
 //! and bench spec files plus a shared cache directory. Running it expands
 //! every listed spec into its cell grid, flattens all grids into one job
 //! list on a single worker pool, and consults the [`crate::cache`] before
@@ -32,8 +32,7 @@ use crate::bench::{run_bench_cell, BenchCell, BenchCellResult, BenchReport, BENC
 use crate::cache::{cache_salt, cell_key, CellCache};
 use crate::report::{CellMetrics, CellResult, FleetReport};
 use crate::runner::{
-    effective_threads, failed_cell_metrics, parallel_indexed, run_cell_in_mode, FleetError,
-    RunOptions,
+    effective_threads, failed_cell_metrics, parallel_indexed, run_cell, FleetError, RunOptions,
 };
 use crate::spec::{Cell, SweepSpec};
 use crate::store::StoreKind;
@@ -301,12 +300,7 @@ impl CampaignPlan {
     /// Executes flat job `i` with panic containment: a panicking cell
     /// becomes a failed-cell metrics record (never cached, visible in
     /// the artifact) instead of taking down the worker.
-    pub fn compute(
-        &self,
-        i: usize,
-        setups: &[(ModelId, PaperSetup)],
-        admission: flexpipe_serving::AdmissionMode,
-    ) -> CellMetrics {
+    pub fn compute(&self, i: usize, setups: &[(ModelId, PaperSetup)]) -> CellMetrics {
         let (ei, ci) = self.jobs[i];
         let entry = &self.entries[ei];
         let setup = setups
@@ -315,7 +309,7 @@ impl CampaignPlan {
             .map(|(_, s)| s)
             .expect("setup prebuilt for every model in the plan");
         match catch_unwind(AssertUnwindSafe(|| match entry {
-            LoadedSpec::Sweep(s, cells) => run_cell_in_mode(s, &cells[ci], setup, admission),
+            LoadedSpec::Sweep(s, cells) => run_cell(s, &cells[ci], setup),
             LoadedSpec::Bench(s, cells) => run_bench_cell(s, &cells[ci], setup).0,
         })) {
             Ok(m) => m,
@@ -334,7 +328,7 @@ impl CampaignPlan {
 /// Campaign runner configuration.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOptions {
-    /// Worker pool / progress / admission options (shared with sweeps).
+    /// Worker pool / progress options (shared with sweeps).
     pub run: RunOptions,
     /// Cache directory; `None` disables both lookups and stores
     /// (`--no-cache`).
@@ -603,7 +597,7 @@ pub fn run_campaign(
             }
             return (metrics, true, false, wall_ms);
         }
-        let metrics = plan.compute(i, &setups, opts.run.admission);
+        let metrics = plan.compute(i, &setups);
         let stored = match &cache {
             Some(c) => c.store(key, job.kind, id, &metrics).unwrap_or_else(|e| {
                 eprintln!("campaign cache store failed for {id}: {e} (continuing uncached)");
@@ -916,8 +910,7 @@ mod tests {
   "rates": [3.0],
   "ubatch_sizes": [32],
   "prefill_token_caps": [256],
-  "admission_batches": [8],
-  "admission": ["Indexed"]
+  "admission_batches": [8]
 }
 "#
         .to_string()

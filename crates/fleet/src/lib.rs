@@ -7,8 +7,8 @@
 //! single run. This crate turns the one-shot simulator into an experiment
 //! orchestration subsystem:
 //!
-//! - [`spec`] — the declarative sweep DSL ([`SweepSpec`], JSON or a TOML
-//!   subset): arrival CV × request rate × cluster shape × policy, expanded
+//! - [`spec`] — the declarative sweep DSL ([`SweepSpec`], a JSON file):
+//!   arrival CV × request rate × cluster shape × policy, expanded
 //!   deterministically with per-cell seed derivation that gives every
 //!   policy in a cell group byte-identical traffic;
 //! - [`runner`] — the thread-pool fleet runner over
@@ -22,8 +22,7 @@
 //!   counts);
 //! - [`mod@bench`] — engine-tunable sweeps (`fleet bench`): ubatch size ×
 //!   prefill caps × admission batch × rates up to 10× the paper's 20 QPS,
-//!   with wall-clock throughput columns and indexed-vs-naive admission
-//!   A/B timing;
+//!   with informational wall-clock throughput columns;
 //! - [`campaign`] — resumable multi-spec campaigns (`fleet campaign`):
 //!   sweep + bench spec lists over one shared worker pool, with every
 //!   cell persisted in the content-addressed cache;
@@ -43,8 +42,7 @@
 //!   (`fleet trace`): record a cell's virtual-time JSONL trace,
 //!   summarize or structurally diff trace files, and profile the
 //!   engine's dispatch per event kind at fleet scale, timed from outside
-//!   the engine;
-//! - [`toml_lite`] — the offline TOML-subset reader.
+//!   the engine.
 //!
 //! The `flexpipe-fleet` binary wraps it all into `init` / `run` /
 //! `bench` / `campaign` / `worker` / `cache` / `trace` /
@@ -68,7 +66,6 @@ pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod store;
-pub mod toml_lite;
 pub mod trace;
 pub mod worker;
 
@@ -87,8 +84,7 @@ pub use campaign::{
 pub use gate::{gate, GateConfig, GateOutcome, Regression};
 pub use report::{summarize_cell, CellMetrics, CellResult, FleetReport, PolicySummary};
 pub use runner::{
-    realize_disruptions, run_cell, run_cell_in_mode, run_cell_observed, run_sweep, FleetError,
-    RunOptions,
+    realize_disruptions, run_cell, run_cell_observed, run_sweep, FleetError, RunOptions,
 };
 pub use spec::{
     derive_cell_seed, replica_seed, BackgroundShape, Cell, ClusterShape, DisruptionShape,
@@ -103,29 +99,24 @@ pub use worker::{run_worker, WorkerOptions, WorkerOutcome};
 
 use serde::Deserialize;
 
-/// Loads a [`SweepSpec`] from JSON or TOML text, deciding by `path`'s
-/// extension (`.toml` → TOML subset, anything else → JSON).
+/// Loads a [`SweepSpec`] from JSON text. `path` names the file in
+/// messages only: every spec is JSON, whatever its extension.
 pub fn parse_spec(path: &str, text: &str) -> Result<SweepSpec, FleetError> {
-    parse_by_extension(path, text, "spec")
+    parse_json(path, text, "spec")
 }
 
-/// Loads a [`BenchSpec`] from JSON or TOML text, by extension.
+/// Loads a [`BenchSpec`] from JSON text (see [`parse_spec`]).
 pub fn parse_bench(path: &str, text: &str) -> Result<BenchSpec, FleetError> {
-    parse_by_extension(path, text, "bench spec")
+    parse_json(path, text, "bench spec")
 }
 
-/// Loads a [`CampaignSpec`] from JSON or TOML text, by extension.
+/// Loads a [`CampaignSpec`] from JSON text (see [`parse_spec`]).
 pub fn parse_campaign(path: &str, text: &str) -> Result<CampaignSpec, FleetError> {
-    parse_by_extension(path, text, "campaign spec")
+    parse_json(path, text, "campaign spec")
 }
 
-fn parse_by_extension<T: Deserialize>(path: &str, text: &str, what: &str) -> Result<T, FleetError> {
-    if path.ends_with(".toml") {
-        let value = toml_lite::parse(text).map_err(|e| FleetError(e.to_string()))?;
-        T::from_value(&value).map_err(|e| FleetError(format!("{what}: {e}")))
-    } else {
-        serde_json::from_str(text).map_err(|e| FleetError(format!("{what}: {e}")))
-    }
+fn parse_json<T: Deserialize>(path: &str, text: &str, what: &str) -> Result<T, FleetError> {
+    serde_json::from_str(text).map_err(|e| FleetError(format!("{what} {path}: {e}")))
 }
 
 #[cfg(test)]
@@ -138,31 +129,6 @@ mod tests {
         let json = serde_json::to_string_pretty(&spec).unwrap();
         let from_json = parse_spec("sweep.json", &json).unwrap();
         assert_eq!(from_json, spec);
-
-        let toml = r#"
-            name = "cv-rate-sensitivity"
-            model = "Opt66B"
-            seed = 42
-            horizon_secs = 120.0
-            warmup_secs = 30.0
-            slo_secs = 2.0
-            slo_per_output_token_ms = 100.0
-            background = "TestbedLike"
-            max_events = 200000000
-            cvs = [0.5, 2.0, 4.0, 8.0]
-            rates = [10.0, 20.0]
-            clusters = ["PaperTestbed"]
-            policies = [{ Paper = "FlexPipe" }, { Paper = "AlpaServe" }, { Paper = "ServerlessLlm" }]
-
-            [lengths]
-            prompt_median = 1024.0
-            prompt_sigma = 0.9
-            prompt_range = [16, 8192]
-            output_mean = 64.0
-            output_range = [1, 1024]
-        "#;
-        let from_toml = parse_spec("sweep.toml", toml).unwrap();
-        assert_eq!(from_toml, spec);
     }
 
     #[test]
@@ -179,12 +145,6 @@ mod tests {
         let spec = CampaignSpec::template();
         let json = serde_json::to_string_pretty(&spec).unwrap();
         assert_eq!(parse_campaign("c.json", &json).unwrap(), spec);
-        let toml = r#"
-            name = "campaign-ci"
-            cache_dir = ".fleet-cache"
-            entries = [{ kind = "Sweep", path = "cv-rate-sensitivity.json" }, { kind = "Sweep", path = "disruption-recovery.json" }, { kind = "Bench", path = "engine-bench.json" }]
-        "#;
-        assert_eq!(parse_campaign("c.toml", toml).unwrap(), spec);
     }
 
     #[test]
@@ -192,33 +152,5 @@ mod tests {
         let spec = BenchSpec::template();
         let json = serde_json::to_string_pretty(&spec).unwrap();
         assert_eq!(parse_bench("b.json", &json).unwrap(), spec);
-
-        let toml = r#"
-            name = "engine-bench"
-            model = "Opt66B"
-            seed = 42
-            horizon_secs = 45.0
-            warmup_secs = 10.0
-            slo_secs = 2.0
-            slo_per_output_token_ms = 100.0
-            background = "TestbedLike"
-            max_events = 200000000
-            cv = 4.0
-            cluster = "PaperTestbed"
-            policy = { Paper = "FlexPipe" }
-            rates = [20.0, 50.0, 100.0, 200.0]
-            ubatch_sizes = [64, 128]
-            prefill_token_caps = [512, 1024]
-            admission_batches = [8, 16]
-            admission = ["Indexed"]
-
-            [lengths]
-            prompt_median = 1024.0
-            prompt_sigma = 0.9
-            prompt_range = [16, 8192]
-            output_mean = 64.0
-            output_range = [1, 1024]
-        "#;
-        assert_eq!(parse_bench("b.toml", toml).unwrap(), spec);
     }
 }

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use flexpipe_bench::PaperSetup;
 use flexpipe_chaos::{virtual_horizon, warp_arrivals, DisruptionScript};
-use flexpipe_serving::{AdmissionMode, Engine, EngineConfig, ObservedRun, Scenario, TraceMode};
+use flexpipe_serving::{Engine, EngineConfig, ObservedRun, Scenario, TraceMode};
 use flexpipe_sim::{SimDuration, SimRng, SimTime};
 use flexpipe_workload::{ArrivalSpec, WorkloadSpec};
 
@@ -36,11 +36,6 @@ pub struct RunOptions {
     pub threads: usize,
     /// Suppress per-cell progress lines on stderr.
     pub quiet: bool,
-    /// Gateway admission strategy for every engine run. Both modes
-    /// produce byte-identical reports (the index is a pure optimization);
-    /// [`AdmissionMode::NaiveScan`] exists for equivalence checks and
-    /// A/B timing.
-    pub admission: AdmissionMode,
     /// Structured per-cell progress on stderr: one `start` line and one
     /// `finish` line (wall ms, truncation flag) per cell. Wall-clock
     /// detail stays on stderr only — it never enters any artifact.
@@ -79,37 +74,23 @@ pub fn realize_disruptions(spec: &SweepSpec, cell: &Cell) -> DisruptionScript {
     }
 }
 
-/// Executes one cell to its metrics with the default (indexed) admission
-/// path. Deterministic given (spec, cell).
+/// Executes one cell to its metrics. Deterministic given (spec, cell).
 pub fn run_cell(spec: &SweepSpec, cell: &Cell, setup: &PaperSetup) -> CellMetrics {
-    run_cell_in_mode(spec, cell, setup, AdmissionMode::default())
-}
-
-/// Executes one cell under an explicit admission mode. The mode never
-/// changes the metrics — only wall-clock — which the equivalence tests
-/// assert report-byte for report-byte.
-pub fn run_cell_in_mode(
-    spec: &SweepSpec,
-    cell: &Cell,
-    setup: &PaperSetup,
-    admission: AdmissionMode,
-) -> CellMetrics {
-    let (engine, offered) = build_cell_engine(spec, cell, setup, admission);
+    let (engine, offered) = build_cell_engine(spec, cell, setup);
     let report = engine.run();
     summarize_cell(&report, spec.warmup_secs, spec.horizon_secs, offered)
 }
 
 /// Executes one cell with the engine recording a structured trace under
-/// `trace`. Returns the same deterministic metrics as [`run_cell_in_mode`]
-/// — tracing is observation-only — plus the full [`ObservedRun`].
+/// `trace`. Returns the same deterministic metrics as [`run_cell`] —
+/// tracing is observation-only — plus the full [`ObservedRun`].
 pub fn run_cell_observed(
     spec: &SweepSpec,
     cell: &Cell,
     setup: &PaperSetup,
-    admission: AdmissionMode,
     trace: TraceMode,
 ) -> (CellMetrics, ObservedRun) {
-    let (mut engine, offered) = build_cell_engine(spec, cell, setup, admission);
+    let (mut engine, offered) = build_cell_engine(spec, cell, setup);
     engine.set_trace(trace);
     let observed = engine.run_observed();
     let metrics = summarize_cell(
@@ -128,7 +109,6 @@ pub(crate) fn build_cell_engine(
     spec: &SweepSpec,
     cell: &Cell,
     setup: &PaperSetup,
-    admission: AdmissionMode,
 ) -> (Engine, usize) {
     let warmup = spec.warmup_secs;
     let span = warmup + spec.horizon_secs;
@@ -159,7 +139,6 @@ pub(crate) fn build_cell_engine(
     let scenario = Scenario {
         config: EngineConfig {
             max_events: spec.max_events,
-            admission,
             ..EngineConfig::default()
         },
         cluster: cell.cluster.cluster(),
@@ -287,9 +266,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOptions) -> Result<FleetReport, Fle
             eprintln!("fleet cell={} event=start", cell.id());
         }
         let cell_started = Instant::now();
-        let metrics = match catch_unwind(AssertUnwindSafe(|| {
-            run_cell_in_mode(spec, cell, &setup, opts.admission)
-        })) {
+        let metrics = match catch_unwind(AssertUnwindSafe(|| run_cell(spec, cell, &setup))) {
             Ok(m) => m,
             Err(_) => {
                 eprintln!("fleet cell {} PANICKED; recorded as failed", cell.id());

@@ -151,8 +151,8 @@ pub enum PolicySpec {
     /// control tick is calm, the whole fleet is off-target, and the
     /// Algorithm-1 refactor pass walks it end to end without ever
     /// acting: the calm-tick regime the plan cache collapses to
-    /// O(#levels), checked against the naive reference's full walk in
-    /// `fleet/tests/on_tick_equivalence.rs`.
+    /// O(#levels). Debug builds re-run the full walk's decisions on every
+    /// skip; `fleet/tests/on_tick_equivalence.rs` drives it.
     FlexPipeCalm {
         /// Standing replica count the policy is pinned at.
         replicas: u32,
@@ -451,9 +451,7 @@ impl SweepSpec {
     ///   event count no longer fits the current budget);
     /// - the axis vectors and `replicas` — the cell coordinate plus its
     ///   derived `seed` capture them (so appending an axis value dirties
-    ///   only the new cells);
-    /// - the admission mode — proven byte-identical across modes by the
-    ///   equivalence suites.
+    ///   only the new cells).
     pub fn cell_semantics(&self, cell: &Cell) -> serde::Value {
         let field = |k: &str, v: serde::Value| (k.to_string(), v);
         serde::Value::Map(vec![

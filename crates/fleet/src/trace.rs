@@ -15,7 +15,7 @@ use std::time::Instant;
 use flexpipe_bench::PaperSetup;
 use flexpipe_model::ModelId;
 use flexpipe_obs::Profiler;
-use flexpipe_serving::{AdmissionMode, ObservedRun, SteppedEngine, TraceMode};
+use flexpipe_serving::{ObservedRun, SteppedEngine, TraceMode};
 use flexpipe_workload::LengthProfile;
 
 use crate::report::{summarize_cell, CellMetrics};
@@ -32,11 +32,10 @@ pub fn find_cell(spec: &SweepSpec, id: &str) -> Option<Cell> {
 pub fn record_cell_trace(
     spec: &SweepSpec,
     cell: &Cell,
-    admission: AdmissionMode,
     mode: TraceMode,
 ) -> (CellMetrics, ObservedRun) {
     let setup = PaperSetup::for_model(spec.model);
-    run_cell_observed(spec, cell, &setup, admission, mode)
+    run_cell_observed(spec, cell, &setup, mode)
 }
 
 /// The fleet sizes [`profile_spec`] accepts: at least one replica, and
@@ -97,7 +96,7 @@ pub fn profile_dispatch(instances: u32) -> Result<(CellMetrics, Profiler), Fleet
     let spec = profile_spec(instances)?;
     let cell = spec.expand().remove(0);
     let setup = PaperSetup::for_model(spec.model);
-    let (engine, offered) = build_cell_engine(&spec, &cell, &setup, AdmissionMode::default());
+    let (engine, offered) = build_cell_engine(&spec, &cell, &setup);
     let mut stepped = SteppedEngine::new(engine);
     let mut profiler = Profiler::default();
     let mut last = Instant::now();

@@ -49,7 +49,7 @@ use crate::RunOptions;
 /// Configuration of one `fleet worker` process.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
-    /// Worker pool / progress / admission options (shared with sweeps).
+    /// Worker pool / progress options (shared with sweeps).
     pub run: RunOptions,
     /// This worker's identity, recorded in every claim it takes.
     /// Defaults to `w<pid>`; give each machine a stable, unique id when
@@ -192,7 +192,7 @@ fn run_sharded(
         if computed_count.fetch_add(1, Ordering::Relaxed) >= computed_cap {
             return 3;
         }
-        let metrics = plan.compute(i, setups, opts.run.admission);
+        let metrics = plan.compute(i, setups);
         let stored = store_logged(cache, &job, &metrics);
         progress(
             opts,
@@ -303,7 +303,7 @@ fn run_claiming(
                 return 3;
             }
             held.lock().unwrap().insert(job.key.to_string());
-            let metrics = plan.compute(i, setups, opts.run.admission);
+            let metrics = plan.compute(i, setups);
             let stored = store_logged(cache, &job, &metrics);
             held.lock().unwrap().remove(job.key);
             let _ = cache.release_claim(job.key, &opts.worker_id);

@@ -70,8 +70,7 @@ fn bench_json() -> String {
   "rates": [3.0],
   "ubatch_sizes": [32],
   "prefill_token_caps": [256],
-  "admission_batches": [8],
-  "admission": ["Indexed"]
+  "admission_batches": [8]
 }
 "#
     .to_string()

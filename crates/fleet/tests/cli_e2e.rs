@@ -305,40 +305,64 @@ fn usage_errors_exit_one() {
     let out = bin().arg("gate").arg("x.json").output().unwrap();
     assert_eq!(out.status.code(), Some(1));
 
-    // Retired wall-clock gate flags are usage errors, not silent no-ops.
+    // Retired flags (the wall-clock gates, the engine-mode switch) and
+    // any other flag a verb does not take are usage errors that name the
+    // flag, not silent no-ops or spec paths.
     let dir = tmp_dir("usage");
     let bench_spec = dir.join("bench.json");
-    let out = bin()
-        .args(["bench", "init"])
-        .arg(&bench_spec)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "bench init failed: {out:?}");
-    let retired: [Vec<std::ffi::OsString>; 3] = [
-        vec![
-            "trace".into(),
-            "profile".into(),
-            "--min-speedup".into(),
-            "2".into(),
-        ],
-        vec!["bench".into(), "--live".into()],
-        vec![
-            "bench".into(),
-            bench_spec.clone().into(),
-            "--hot-paths".into(),
-        ],
-    ];
-    for args in retired {
-        let out = bin().args(&args).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    let sweep_spec = dir.join("sweep.json");
+    let campaign_spec = dir.join("campaign.json");
+    for (init, path) in [
+        (&["bench", "init"][..], &bench_spec),
+        (&["init"], &sweep_spec),
+        (&["campaign", "init"], &campaign_spec),
+    ] {
+        let out = bin().args(init).arg(path).output().unwrap();
+        assert!(out.status.success(), "{init:?} failed: {out:?}");
     }
+    let arg = |p: &PathBuf| p.to_str().expect("temp paths are UTF-8").to_owned();
+    let (bench_arg, sweep_arg, campaign_arg) =
+        (arg(&bench_spec), arg(&sweep_spec), arg(&campaign_spec));
+    let unknown: [(&[&str], &str); 7] = [
+        (&["trace", "profile", "--min-speedup", "2"], "--min-speedup"),
+        (&["bench", "--live"], "--live"),
+        (&["bench", &bench_arg, "--hot-paths"], "--hot-paths"),
+        (&["run", &sweep_arg, "--admission", "naive"], "--admission"),
+        (
+            &["campaign", &campaign_arg, "--admission", "naive"],
+            "--admission",
+        ),
+        (
+            &["worker", &campaign_arg, "--admission", "naive"],
+            "--admission",
+        ),
+        (
+            &["trace", "record", &sweep_arg, "--admission", "naive"],
+            "--admission",
+        ),
+    ];
+    for (args, flag) in unknown {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag {flag} for ")),
+            "{args:?}: {out:?}"
+        );
+    }
+
+    // Specs are JSON only: a TOML spec is refused by the JSON parser.
+    let toml_spec = dir.join("sweep.toml");
+    std::fs::write(&toml_spec, "name = \"cli-e2e\"\nseed = 11\n").unwrap();
+    let out = bin().arg("run").arg(&toml_spec).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unexpected character `n` at byte 0"),
+        "{out:?}"
+    );
 
     // Malformed sweep and bench specs are refused before any cell runs:
     // a custom cluster with fewer GPUs than servers (which would panic in
     // every cell) and an infinite horizon (which would never finish).
-    let sweep_spec = dir.join("sweep.json");
-    let out = bin().arg("init").arg(&sweep_spec).output().unwrap();
-    assert!(out.status.success(), "init failed: {out:?}");
     let sweep = std::fs::read_to_string(&sweep_spec).unwrap();
     let bench = std::fs::read_to_string(&bench_spec).unwrap();
     let custom = r#"{ "Custom": { "nodes": 8, "total_gpus": 4, "servers_per_rack": 4 } }"#;

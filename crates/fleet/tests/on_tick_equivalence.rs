@@ -1,25 +1,26 @@
-//! Engine-level proof that the warm-start incremental `on_tick` solver is
-//! a *pure* optimization: metric-identical cells between the dirty-set
-//! mirror (`Indexed`) and the from-scratch fleet scan (`NaiveScan`) under
-//! proptest-randomized demand swings, background fragmentation churn and
-//! disruption interleavings — the regime where the control plane actually
-//! refactors, scales out under pressure, retires under patience, and
-//! rebuilds after revocations, so a stale mirror entry would first change
-//! a decision here. Two pinned standing fleets cover the other regimes:
-//! a `FlexPipeFleet` deployment under light traffic, and a calm,
-//! off-target `FlexPipeCalm` fleet where the plan cache replaces the
-//! refactor-pass walk.
+//! Engine-level coverage of the warm-start incremental `on_tick` solver.
+//! In debug builds (the test profile) the policy checks its dirty-set
+//! fleet mirror against a from-scratch fleet snapshot every tick, and
+//! re-runs the refactor walk's per-instance decision over the off-target
+//! set whenever the calm-tick plan cache skips the walk, so each run below
+//! fails at the first decision the mirror or the cache gets wrong. The
+//! proptest drives randomized demand swings, background fragmentation
+//! churn and disruption interleavings — the regime where the control
+//! plane actually refactors, scales out under pressure, retires under
+//! patience, and rebuilds after revocations. Two pinned standing fleets
+//! cover the other regimes: a `FlexPipeFleet` deployment under light
+//! traffic, and a calm, off-target `FlexPipeCalm` fleet where the plan
+//! cache replaces the refactor-pass walk.
 
 use std::sync::OnceLock;
 
 use flexpipe_bench::{PaperSetup, SystemId};
 use flexpipe_chaos::{Disruption, DisruptionEvent, DisruptionScript};
 use flexpipe_fleet::{
-    profile_spec, run_cell_in_mode, BackgroundShape, CellMetrics, ClusterShape, DisruptionShape,
+    profile_spec, run_cell, BackgroundShape, CellMetrics, ClusterShape, DisruptionShape,
     PolicySpec, SweepSpec,
 };
 use flexpipe_model::ModelId;
-use flexpipe_serving::AdmissionMode;
 use flexpipe_workload::LengthProfile;
 use proptest::prelude::*;
 
@@ -79,10 +80,9 @@ fn churn_spec(cv: f64, rate: f64, at_secs: f64, grace_secs: f64, seed: u64) -> S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Every decision the warm-start mirror makes under randomized churn
-    /// and disruption interleavings matches the from-scratch scan's,
-    /// asserted through full metric equality (events, completions,
-    /// refactors, replay counts — any decision divergence shifts them).
+    /// Every decision the warm-start mirror and the plan cache make under
+    /// randomized churn and disruption interleavings is checked by the
+    /// policy's debug-build validators as it is made.
     #[test]
     fn warm_start_on_tick_matches_from_scratch(
         cv in 1.0f64..6.0,
@@ -96,16 +96,10 @@ proptest! {
         let setup = llama_setup();
         let mut completed = 0usize;
         for cell in spec.expand() {
-            let warm = run_cell_in_mode(&spec, &cell, setup, AdmissionMode::Indexed);
-            let cold = run_cell_in_mode(&spec, &cell, setup, AdmissionMode::NaiveScan);
-            prop_assert_eq!(
-                &warm, &cold,
-                "cell {} diverged (cv={}, rate={}, at={}, grace={}, seed={})",
-                cell.id(), cv, rate, at_secs, grace_secs, seed
-            );
-            completed += warm.completed;
+            completed += run_cell(&spec, &cell, setup).completed;
         }
-        // The runs did real work (otherwise equality is vacuous).
+        // The runs did real work (otherwise the validators checked
+        // nothing).
         prop_assert!(completed > 0, "no cell served anything");
     }
 }
@@ -134,21 +128,17 @@ fn standing_fleet_spec(
     }
 }
 
-/// Runs the spec's single cell in both modes and requires metric
-/// equality, returning the shared metrics.
-fn run_both_modes(spec: &SweepSpec) -> CellMetrics {
+/// Runs the spec's single cell, returning its metrics.
+fn run_single_cell(spec: &SweepSpec) -> CellMetrics {
     assert!(spec.validate().is_ok());
     let cell = spec.expand().remove(0);
-    let warm = run_cell_in_mode(spec, &cell, llama_setup(), AdmissionMode::Indexed);
-    let cold = run_cell_in_mode(spec, &cell, llama_setup(), AdmissionMode::NaiveScan);
-    assert_eq!(warm, cold, "cell {} diverged between modes", cell.id());
-    warm
+    run_cell(spec, &cell, llama_setup())
 }
 
 #[test]
 fn flexpipe_fleet_pins_at_exactly_n_replicas() {
     let spec = standing_fleet_spec(PolicySpec::FlexPipeFleet { replicas: 6 }, 6, 4, 20.0);
-    let metrics = run_both_modes(&spec);
+    let metrics = run_single_cell(&spec);
     assert!(!metrics.truncated);
     // The standing fleet holds at exactly the pinned replica count:
     // nothing retires, nothing re-spawns.
@@ -160,8 +150,9 @@ fn flexpipe_fleet_pins_at_exactly_n_replicas() {
 fn calm_off_target_fleet_never_refactors_and_matches_naive() {
     // Near-zero traffic (validation requires a positive rate): the ~1
     // expected arrival leaves all but a couple of ticks delta-free, so
-    // the indexed mode re-proves the walk a no-op from its plan cache
-    // while the naive reference walks the fleet every tick.
+    // the policy re-proves the walk a no-op from its plan cache, and the
+    // debug build re-runs the walk's decision for every instance on each
+    // of those skips.
     let spec = standing_fleet_spec(
         PolicySpec::FlexPipeCalm {
             replicas: 4,
@@ -171,7 +162,7 @@ fn calm_off_target_fleet_never_refactors_and_matches_naive() {
         8,
         0.01,
     );
-    let metrics = run_both_modes(&spec);
+    let metrics = run_single_cell(&spec);
     assert!(!metrics.truncated);
     assert_eq!(metrics.spawns, 4, "fleet must pin at 4 replicas");
     assert_eq!(

@@ -1,6 +1,6 @@
 //! The observability contract, pinned: tracing is *semantics-neutral*
-//! (reports byte-identical with the recorder off, ring or full, in both
-//! admission modes) and traces themselves are *deterministic artifacts*
+//! (reports byte-identical with the recorder off, ring or full) and
+//! traces themselves are *deterministic artifacts*
 //! (byte-identical JSONL no matter how many threads record concurrently),
 //! including under proptest-randomized disruption churn. This is what
 //! makes `fleet trace diff` a meaningful equivalence check.
@@ -10,12 +10,12 @@ use std::sync::OnceLock;
 use flexpipe_bench::{PaperSetup, SystemId};
 use flexpipe_chaos::{Disruption, DisruptionEvent, DisruptionScript};
 use flexpipe_fleet::{
-    parse_spec, record_cell_trace, run_cell_in_mode, run_cell_observed, run_sweep, BackgroundShape,
+    parse_spec, record_cell_trace, run_cell, run_cell_observed, run_sweep, BackgroundShape,
     CellResult, ClusterShape, DisruptionShape, FleetReport, PolicySpec, RunOptions, SweepSpec,
 };
 use flexpipe_model::ModelId;
 use flexpipe_obs::{first_divergence, parse_jsonl, TraceSummary};
-use flexpipe_serving::{AdmissionMode, TraceMode};
+use flexpipe_serving::TraceMode;
 use flexpipe_workload::LengthProfile;
 use proptest::prelude::*;
 
@@ -89,35 +89,33 @@ fn trace_modes_never_perturb_metrics_in_either_engine_mode() {
     let spec = default_churn_spec();
     let setup = llama_setup();
     for cell in spec.expand() {
-        for admission in [AdmissionMode::Indexed, AdmissionMode::NaiveScan] {
-            let plain = run_cell_in_mode(&spec, &cell, setup, admission);
-            for mode in [TraceMode::Off, TraceMode::Ring(64), TraceMode::Full] {
-                let (metrics, observed) = run_cell_observed(&spec, &cell, setup, admission, mode);
-                assert_eq!(
-                    plain,
-                    metrics,
-                    "trace mode {mode} perturbed cell {} under {admission:?}",
-                    cell.id()
-                );
-                match mode {
-                    TraceMode::Off => assert!(observed.trace.is_empty()),
-                    TraceMode::Ring(cap) => {
-                        assert!(observed.trace.len() <= cap);
-                        assert_eq!(
-                            observed.trace.len() as u64 + observed.trace.evicted(),
-                            observed.trace.total_seen(),
-                            "ring accounting broke"
-                        );
-                        // The registry counts everything, evicted or not.
-                        assert_eq!(
-                            observed.trace.registry().total(),
-                            observed.trace.total_seen()
-                        );
-                    }
-                    TraceMode::Full => {
-                        assert!(!observed.trace.is_empty(), "full mode recorded nothing");
-                        assert_eq!(observed.trace.evicted(), 0);
-                    }
+        let plain = run_cell(&spec, &cell, setup);
+        for mode in [TraceMode::Off, TraceMode::Ring(64), TraceMode::Full] {
+            let (metrics, observed) = run_cell_observed(&spec, &cell, setup, mode);
+            assert_eq!(
+                plain,
+                metrics,
+                "trace mode {mode} perturbed cell {}",
+                cell.id()
+            );
+            match mode {
+                TraceMode::Off => assert!(observed.trace.is_empty()),
+                TraceMode::Ring(cap) => {
+                    assert!(observed.trace.len() <= cap);
+                    assert_eq!(
+                        observed.trace.len() as u64 + observed.trace.evicted(),
+                        observed.trace.total_seen(),
+                        "ring accounting broke"
+                    );
+                    // The registry counts everything, evicted or not.
+                    assert_eq!(
+                        observed.trace.registry().total(),
+                        observed.trace.total_seen()
+                    );
+                }
+                TraceMode::Full => {
+                    assert!(!observed.trace.is_empty(), "full mode recorded nothing");
+                    assert_eq!(observed.trace.evicted(), 0);
                 }
             }
         }
@@ -128,7 +126,7 @@ fn trace_modes_never_perturb_metrics_in_either_engine_mode() {
 fn traces_are_byte_identical_across_concurrent_recorders() {
     let spec = default_churn_spec();
     let cell = spec.expand().remove(0);
-    let reference = record_cell_trace(&spec, &cell, AdmissionMode::Indexed, TraceMode::Full)
+    let reference = record_cell_trace(&spec, &cell, TraceMode::Full)
         .1
         .trace
         .to_jsonl();
@@ -141,7 +139,7 @@ fn traces_are_byte_identical_across_concurrent_recorders() {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 scope.spawn(|| {
-                    record_cell_trace(&spec, &cell, AdmissionMode::Indexed, TraceMode::Full)
+                    record_cell_trace(&spec, &cell, TraceMode::Full)
                         .1
                         .trace
                         .to_jsonl()
@@ -182,9 +180,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Randomized churn: whatever the arrival shape and disruption
-    /// interleaving, full tracing leaves the metrics untouched in both
-    /// admission modes, and two recordings of the same cell are
-    /// byte-identical.
+    /// interleaving, full tracing leaves the metrics untouched, and two
+    /// recordings of the same cell are byte-identical.
     #[test]
     fn random_churn_traces_are_neutral_and_stable(
         cv in 0.5f64..6.0,
@@ -197,21 +194,14 @@ proptest! {
         prop_assert!(spec.validate().is_ok());
         let setup = llama_setup();
         for cell in spec.expand() {
-            for admission in [AdmissionMode::Indexed, AdmissionMode::NaiveScan] {
-                let plain = run_cell_in_mode(&spec, &cell, setup, admission);
-                let (traced, first) =
-                    run_cell_observed(&spec, &cell, setup, admission, TraceMode::Full);
-                prop_assert_eq!(
-                    &plain, &traced,
-                    "tracing perturbed cell {} under {:?}", cell.id(), admission
-                );
-                let (_, second) =
-                    run_cell_observed(&spec, &cell, setup, admission, TraceMode::Full);
-                prop_assert!(
-                    first_divergence(&first.trace.to_jsonl(), &second.trace.to_jsonl()).is_none(),
-                    "re-recording cell {} diverged", cell.id()
-                );
-            }
+            let plain = run_cell(&spec, &cell, setup);
+            let (traced, first) = run_cell_observed(&spec, &cell, setup, TraceMode::Full);
+            prop_assert_eq!(&plain, &traced, "tracing perturbed cell {}", cell.id());
+            let (_, second) = run_cell_observed(&spec, &cell, setup, TraceMode::Full);
+            prop_assert!(
+                first_divergence(&first.trace.to_jsonl(), &second.trace.to_jsonl()).is_none(),
+                "re-recording cell {} diverged", cell.id()
+            );
         }
     }
 }
@@ -247,8 +237,7 @@ fn committed_spec_reports_are_byte_identical_in_every_trace_mode() {
                 .expand()
                 .into_iter()
                 .map(|cell| {
-                    let (metrics, _) =
-                        run_cell_observed(&spec, &cell, &setup, AdmissionMode::default(), mode);
+                    let (metrics, _) = run_cell_observed(&spec, &cell, &setup, mode);
                     CellResult { cell, metrics }
                 })
                 .collect();

@@ -1,7 +1,7 @@
 //! The indexed admission fast path.
 //!
 //! The gateway admits each queued request to the least-loaded admissible
-//! instance. The reference implementation re-scans every instance per
+//! instance. The naive implementation re-scans every instance per
 //! request — O(instances × queued requests) — which is fine at the
 //! paper's 20 QPS on 82 GPUs but dominates the event loop at 10× the
 //! rate (ROADMAP "engine hot paths"). The [`AdmissionIndex`] replaces the
@@ -16,13 +16,13 @@
 //! factors are finite and non-negative (`active < cap`, so `cap > 0`),
 //! and IEEE-754 bit patterns of non-negative floats order exactly like
 //! the floats themselves — keying the set on `f64::to_bits` therefore
-//! reproduces the naive selection *bit for bit*, which is what makes the
-//! indexed path a pure optimization (byte-identical reports, proven by
-//! tests).
+//! reproduces the naive selection *bit for bit*. The index is the
+//! engine's only admission path; the naive scan survives as a reference
+//! only, in the engine's debug-build validator (which checks the index
+//! against instance state on every gateway drain) and in the [`churn`]
+//! harness below.
 
 use std::collections::{BTreeSet, HashMap};
-
-use serde::{Deserialize, Serialize};
 
 use crate::instance::InstanceId;
 
@@ -89,50 +89,6 @@ impl AdmissionIndex {
     }
 }
 
-/// Engine-wide hot-path selection strategy.
-///
-/// Originally the *admission*-path toggle; PR 5 generalized it to govern
-/// every incrementally maintained engine structure — the admission index,
-/// the per-instance decode-slot tracker, the cluster's server-load ranking
-/// and the memoized Table-2 partition table (see
-/// [`crate::engine::indexes`]). The serialized variant names (and the
-/// `admission` field carrying the mode in
-/// [`crate::config::EngineConfig`]) are unchanged, so spec files and the
-/// engine fingerprint are unaffected. Both modes produce byte-identical
-/// reports — the mode changes wall-clock only.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// The indexed fast paths (default): O(log n) / O(1) per event.
-    #[default]
-    Indexed,
-    /// The retained naive reference scans. Kept for equivalence tests
-    /// and `fleet bench` A/B sweeps — reports must be byte-identical.
-    NaiveScan,
-}
-
-/// Backward-compatible name for [`EngineMode`] from when the toggle only
-/// covered admission.
-pub type AdmissionMode = EngineMode;
-
-impl EngineMode {
-    /// Stable lowercase label (bench cell ids, CLI flags).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineMode::Indexed => "indexed",
-            EngineMode::NaiveScan => "naive",
-        }
-    }
-
-    /// Parses a CLI label.
-    pub fn parse(s: &str) -> Option<EngineMode> {
-        match s {
-            "indexed" => Some(EngineMode::Indexed),
-            "naive" => Some(EngineMode::NaiveScan),
-            _ => None,
-        }
-    }
-}
-
 /// One synthetic admission slot of the [`churn`] harness: an instance
 /// stand-in with a batch capacity and a live-request count.
 #[derive(Debug, Clone, Copy)]
@@ -156,14 +112,13 @@ impl Slot {
 /// (`crates/serving/tests/admission_fast_path.rs`).
 ///
 /// Simulates `ops` gateway decisions over `n` instances with staggered
-/// capacities: each step admits to the least-loaded admissible slot
-/// (naive linear scan or [`AdmissionIndex`], per `mode`), and a
-/// deterministic counter-based pattern completes requests and flips
-/// admission holds so slots keep entering and leaving the index — the
-/// same churn the engine produces under load, without the event loop
-/// around it. Returns a checksum over the chosen instance sequence, so
-/// callers can assert the two modes make identical decisions.
-pub fn churn(n: usize, ops: usize, mode: AdmissionMode) -> u64 {
+/// capacities: each step picks the least-loaded admissible slot twice —
+/// from the [`AdmissionIndex`] and by the naive linear scan it replaced —
+/// panics the moment the two disagree, and admits to it. A deterministic
+/// counter-based pattern completes requests and flips admission holds so
+/// slots keep entering and leaving the index — the same churn the engine
+/// produces under load, without the event loop around it.
+pub fn churn(n: usize, ops: usize) {
     assert!(n > 0, "need at least one slot");
     let mut slots: Vec<Slot> = (0..n)
         .map(|i| Slot {
@@ -173,43 +128,36 @@ pub fn churn(n: usize, ops: usize, mode: AdmissionMode) -> u64 {
         })
         .collect();
     let mut index = AdmissionIndex::new();
-    if mode == AdmissionMode::Indexed {
-        for (i, s) in slots.iter().enumerate() {
-            index.apply(InstanceId(i as u64), s.key());
-        }
+    for (i, s) in slots.iter().enumerate() {
+        index.apply(InstanceId(i as u64), s.key());
     }
     // SplitMix64: deterministic, dependency-free pattern driver (shared
     // with the engine's other churn harnesses).
     let mut state = 0x5EEDu64.wrapping_add(n as u64);
-
-    let mut checksum = 0u64;
-    let touch = |slots: &mut [Slot], index: &mut AdmissionIndex, i: usize| {
-        if mode == AdmissionMode::Indexed {
-            index.apply(InstanceId(i as u64), slots[i].key());
-        }
+    let touch = |slots: &[Slot], index: &mut AdmissionIndex, i: usize| {
+        index.apply(InstanceId(i as u64), slots[i].key());
     };
     for op in 0..ops {
         // Admit to the least-loaded admissible slot.
-        let target = match mode {
-            AdmissionMode::Indexed => index.best().map(|id| id.0 as usize),
-            AdmissionMode::NaiveScan => slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.admissible && s.active < s.cap)
-                .min_by(|(ai, a), (bi, b)| {
-                    (f64::from(a.active) / f64::from(a.cap))
-                        .partial_cmp(&(f64::from(b.active) / f64::from(b.cap)))
-                        .unwrap()
-                        .then(ai.cmp(bi))
-                })
-                .map(|(i, _)| i),
-        };
+        let naive = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.admissible && s.active < s.cap)
+            .min_by(|(ai, a), (bi, b)| {
+                (f64::from(a.active) / f64::from(a.cap))
+                    .partial_cmp(&(f64::from(b.active) / f64::from(b.cap)))
+                    .unwrap()
+                    .then(ai.cmp(bi))
+            })
+            .map(|(i, _)| i);
+        let target = index.best().map(|id| id.0 as usize);
+        assert_eq!(
+            target, naive,
+            "admission index diverged from the naive scan at op {op} (n={n})"
+        );
         if let Some(i) = target {
             slots[i].active += 1;
-            touch(&mut slots, &mut index, i);
-            checksum = checksum
-                .wrapping_mul(0x100000001B3)
-                .wrapping_add(i as u64 + 1);
+            touch(&slots, &mut index, i);
         }
         // Deterministic churn: completions free capacity, occasional
         // holds/releases move slots in and out of the admissible set.
@@ -217,14 +165,13 @@ pub fn churn(n: usize, ops: usize, mode: AdmissionMode) -> u64 {
         let j = (r % n as u64) as usize;
         if op % 2 == 0 && slots[j].active > 0 {
             slots[j].active -= 1;
-            touch(&mut slots, &mut index, j);
+            touch(&slots, &mut index, j);
         }
         if r.is_multiple_of(17) {
             slots[j].admissible = !slots[j].admissible;
-            touch(&mut slots, &mut index, j);
+            touch(&slots, &mut index, j);
         }
     }
-    checksum
 }
 
 #[cfg(test)]
@@ -274,20 +221,7 @@ mod tests {
     #[test]
     fn churn_modes_agree_on_every_decision() {
         for n in [1usize, 3, 17, 64] {
-            assert_eq!(
-                churn(n, 2_000, AdmissionMode::Indexed),
-                churn(n, 2_000, AdmissionMode::NaiveScan),
-                "divergence at n={n}"
-            );
+            churn(n, 2_000);
         }
-    }
-
-    #[test]
-    fn mode_labels_round_trip() {
-        for m in [AdmissionMode::Indexed, AdmissionMode::NaiveScan] {
-            assert_eq!(AdmissionMode::parse(m.label()), Some(m));
-        }
-        assert_eq!(AdmissionMode::parse("bogus"), None);
-        assert_eq!(AdmissionMode::default(), AdmissionMode::Indexed);
     }
 }

@@ -5,8 +5,6 @@ use serde::{Deserialize, Serialize};
 use flexpipe_model::BatchScaling;
 use flexpipe_sim::SimDuration;
 
-use crate::admission::AdmissionMode;
-
 /// Tunables of the serving engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -38,11 +36,6 @@ pub struct EngineConfig {
     /// size (transport compression / padding amortisation). `None`
     /// preserves the linear model the published experiments use.
     pub batch_scaling: Option<BatchScaling>,
-    /// Gateway admission strategy. [`AdmissionMode::Indexed`] (default) is
-    /// the O(log instances) fast path; [`AdmissionMode::NaiveScan`] is the
-    /// retained per-request rescan reference. Both produce byte-identical
-    /// reports — the mode only changes wall-clock.
-    pub admission: AdmissionMode,
 }
 
 impl Default for EngineConfig {
@@ -58,7 +51,6 @@ impl Default for EngineConfig {
             interference_coeff: 0.6,
             max_events: 200_000_000,
             batch_scaling: None,
-            admission: AdmissionMode::default(),
         }
     }
 }

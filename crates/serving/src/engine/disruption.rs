@@ -4,10 +4,9 @@
 //! The hot-server query that resolves rank-targeted preemptions reads the
 //! cluster's incrementally maintained server-load ranking
 //! ([`flexpipe_cluster::ServerLoadIndex`], updated on every serving-lease
-//! change) on the indexed path — O(rank + log servers) instead of
-//! rebuilding and sorting the full server list per query. The naive
-//! rebuild is retained under [`EngineMode::NaiveScan`] and cross-checked
-//! in debug builds on every consultation.
+//! change) — O(rank + log servers) instead of rebuilding and sorting the
+//! full server list per query. The naive rebuild survives only as a
+//! debug-build validator, checked on every consultation.
 
 use std::collections::BTreeSet;
 
@@ -17,7 +16,6 @@ use flexpipe_obs::TraceEvent;
 use flexpipe_sim::{EventQueue, SimDuration, SimTime};
 use flexpipe_workload::RequestId;
 
-use crate::admission::EngineMode;
 use crate::instance::{InstanceId, InstanceState, Phase};
 use crate::policy::{CrippledInstance, DisruptionNotice, StageAssign};
 
@@ -27,29 +25,21 @@ impl EngineState {
     /// Resolves the `rank`-th busiest server by serving-leased bytes
     /// (ties toward the lowest id), skipping fully revoked servers.
     ///
-    /// Dispatches on the engine mode: the indexed path reads the cluster's
-    /// server-load ranking, the naive path rebuilds and sorts. Both are
-    /// bit-identical; debug builds assert it on every query.
+    /// Reads the cluster's server-load ranking; debug builds assert on
+    /// every query that the naive rebuild-and-sort picks the same server.
     pub(super) fn hottest_server(&self, rank: u32) -> Option<ServerId> {
-        let picked = match self.config.admission {
-            EngineMode::Indexed => self.cluster.nth_hottest_server(rank),
-            EngineMode::NaiveScan => self.hottest_server_naive(rank),
-        };
+        let picked = self.cluster.nth_hottest_server(rank);
         debug_assert_eq!(
             picked,
             self.hottest_server_naive(rank),
             "server-load index diverged from the naive ranking at rank {rank}"
         );
-        debug_assert_eq!(
-            picked,
-            self.cluster.nth_hottest_server(rank),
-            "naive server ranking diverged from the load index at rank {rank}"
-        );
         picked
     }
 
-    /// The retained naive reference: rebuild the (bytes, server) list and
-    /// sort it per query — O(servers × GPUs + servers log servers).
+    /// The naive reference the debug build checks against: rebuild the
+    /// (bytes, server) list and sort it per query — O(servers × GPUs +
+    /// servers log servers).
     fn hottest_server_naive(&self, rank: u32) -> Option<ServerId> {
         let topo = self.cluster.topology();
         let mut servers: Vec<(u64, ServerId)> = (0..topo.server_count() as u32)

@@ -5,9 +5,9 @@
 //! [`crate::admission::AdmissionIndex`] (O(log instances) per request),
 //! and the decode dispatcher reads the per-instance
 //! [`super::indexes::DecodeSlotTracker`] (O(1) per launch) instead of
-//! recounting in-flight decode micro-batches. Both retain their naive
-//! reference scans under [`EngineMode::NaiveScan`] and are cross-checked
-//! by debug-build validators on every consultation.
+//! recounting in-flight decode micro-batches. The naive scans they
+//! replaced survive only as debug-build validators, checked on every
+//! consultation.
 
 use std::collections::BTreeMap;
 
@@ -18,7 +18,6 @@ use flexpipe_obs::TraceEvent;
 use flexpipe_sim::{EventQueue, SimDuration, SimTime};
 use flexpipe_workload::RequestId;
 
-use crate::admission::EngineMode;
 use crate::instance::{InstanceId, InstanceState, MicroBatch, Phase, UbatchId};
 
 use super::{EngineState, Event};
@@ -304,10 +303,9 @@ impl EngineState {
     /// would otherwise go idle.
     ///
     /// The in-flight decode count reads the per-instance
-    /// [`super::indexes::DecodeSlotTracker`] on the indexed path — O(1)
-    /// instead of rescanning the instance's micro-batch list with a map
-    /// lookup per entry; the naive recount is retained as the reference
-    /// and cross-checked in debug builds on every launch decision.
+    /// [`super::indexes::DecodeSlotTracker`] — O(1) instead of rescanning
+    /// the instance's micro-batch list with a map lookup per entry; debug
+    /// builds recount the list and compare on every launch decision.
     pub(super) fn launch_decode(&mut self, queue: &mut EventQueue<Event>, id: InstanceId) {
         loop {
             let Some(inst) = self.instances.get_mut(&id) else {
@@ -320,7 +318,9 @@ impl EngineState {
             if inst.decode_ready.is_empty() {
                 return;
             }
-            let naive_count = || {
+            let decode_in_flight = inst.decode_slots.in_flight() as usize;
+            debug_assert_eq!(
+                decode_in_flight,
                 inst.ubatches
                     .iter()
                     .filter(|u| {
@@ -328,15 +328,7 @@ impl EngineState {
                             .get(u)
                             .is_some_and(|ub| ub.phase == Phase::Decode)
                     })
-                    .count()
-            };
-            let decode_in_flight = match self.config.admission {
-                EngineMode::Indexed => inst.decode_slots.in_flight() as usize,
-                EngineMode::NaiveScan => naive_count(),
-            };
-            debug_assert_eq!(
-                decode_in_flight,
-                naive_count(),
+                    .count(),
                 "decode-slot tracker diverged from the micro-batch list"
             );
             if decode_in_flight >= limit {
@@ -438,13 +430,12 @@ impl EngineState {
     /// Admits queued requests to instances with capacity and launches
     /// prefill micro-batches.
     ///
-    /// Selection is least-loaded-first with id tie-break. The default
-    /// [`EngineMode::Indexed`] path reads the incrementally maintained
-    /// [`crate::admission::AdmissionIndex`] — O(log instances) per
-    /// admission; the retained [`EngineMode::NaiveScan`] reference rescans
-    /// every instance per request. Both paths pick bit-identical targets
-    /// (the index keys on the load factor's bit pattern), so reports never
-    /// depend on the mode — only wall-clock does.
+    /// Selection is least-loaded-first with id tie-break, read from the
+    /// incrementally maintained [`crate::admission::AdmissionIndex`] —
+    /// O(log instances) per admission instead of a rescan of every
+    /// instance per request. The index keys on the load factor's bit
+    /// pattern, so it picks exactly what the rescan would; debug builds
+    /// check it against instance state at the start of every drain.
     pub fn drain_gateway(&mut self, queue: &mut EventQueue<Event>) {
         #[cfg(debug_assertions)]
         self.debug_validate_admission_index();
@@ -454,21 +445,7 @@ impl EngineState {
         let mut formed: BTreeMap<InstanceId, Vec<RequestId>> = BTreeMap::new();
         while let Some(&rid) = self.gateway.front() {
             // Least-loaded admissible instance.
-            let target = match self.config.admission {
-                EngineMode::Indexed => self.admission.best(),
-                EngineMode::NaiveScan => self
-                    .instances
-                    .values()
-                    .filter(|i| i.can_admit())
-                    .min_by(|a, b| {
-                        a.load_factor()
-                            .partial_cmp(&b.load_factor())
-                            .unwrap()
-                            .then(a.id.cmp(&b.id))
-                    })
-                    .map(|i| i.id),
-            };
-            let Some(target) = target else {
+            let Some(target) = self.admission.best() else {
                 break;
             };
             self.gateway.pop_front();

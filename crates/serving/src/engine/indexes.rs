@@ -11,23 +11,22 @@
 //! | [`flexpipe_cluster::ServerLoadIndex`] | O(servers × GPUs) rebuild+sort | `hottest_server` |
 //! | [`flexpipe_model::MaxBatchTable`] | O(range) operator-slice walks | spawn / refactor sizing |
 //!
-//! All four follow the same engine-wide [`crate::EngineMode`] toggle, keep
-//! their naive reference paths, and are cross-checked by debug-build
-//! validators at every consultation — a mode can change wall-clock only,
-//! never a report byte.
+//! All four are the engine's only path. The naive computation each one
+//! replaced survives only as a reference: debug-build validators compare
+//! against it at every consultation (the test profile keeps debug
+//! assertions on, so every test run checks every decision), and release
+//! builds never run it.
 //!
 //! The [`decode_slot_churn`] and [`server_load_churn`] harnesses mirror
-//! [`crate::admission::churn`]: deterministic, engine-free drivers whose
-//! decision checksums the equivalence tests compare across both modes,
-//! from small random fleets up to 1,500 instances/servers. Speed is
-//! measured end to end by the repository benchmark (`perfbench/`), not
-//! here.
+//! [`crate::admission::churn`]: deterministic, engine-free drivers that
+//! query the structure and its naive reference in lockstep and panic at
+//! the first disagreement, from small random fleets up to 1,500
+//! instances/servers. Speed is measured end to end by the repository
+//! benchmark (`perfbench/`), not here.
 
 use std::collections::HashMap;
 
 use flexpipe_cluster::{Cluster, ClusterSpec, GpuId, LeaseId, ServerId};
-
-use crate::admission::EngineMode;
 
 /// Per-instance count of in-flight *decode* micro-batches.
 ///
@@ -87,35 +86,31 @@ pub(crate) fn splitmix(state: &mut u64) -> u64 {
 ///
 /// Reproduces `launch_decode`'s exact data shape: each instance owns a
 /// list of micro-batch ids whose phases live in a shared map (as the
-/// engine's do), and every step queries the in-flight decode count —
-/// scanning the list with a map lookup per entry in
-/// [`EngineMode::NaiveScan`], reading the [`DecodeSlotTracker`] in
-/// [`EngineMode::Indexed`] — then mutates: decode/prefill launches,
-/// dissolutions, and occasional revocation-style kills of an instance's
-/// whole in-flight set. Returns a checksum over the queried counts, so
-/// callers can assert the two modes agree decision-for-decision.
-pub fn decode_slot_churn(n: usize, ops: usize, mode: EngineMode) -> u64 {
+/// engine's do), and every step queries the in-flight decode count twice
+/// — from the [`DecodeSlotTracker`] and by scanning the list with a map
+/// lookup per entry — and panics if they differ, then mutates:
+/// decode/prefill launches, dissolutions, and occasional revocation-style
+/// kills of an instance's whole in-flight set.
+pub fn decode_slot_churn(n: usize, ops: usize) {
     assert!(n > 0, "need at least one instance");
     let mut phases: HashMap<u64, bool> = HashMap::new(); // id -> is_decode
     let mut lists: Vec<Vec<u64>> = vec![Vec::new(); n];
     let mut trackers: Vec<DecodeSlotTracker> = vec![DecodeSlotTracker::new(); n];
     let mut next_ub = 0u64;
     let mut state = 0xDEC0DEu64.wrapping_add(n as u64);
-    let mut checksum = 0u64;
-    for _ in 0..ops {
+    for op in 0..ops {
         let r = splitmix(&mut state);
         let i = (r % n as u64) as usize;
         // The launch decision's read: how many decode passes are in flight?
-        let count = match mode {
-            EngineMode::Indexed => trackers[i].in_flight() as usize,
-            EngineMode::NaiveScan => lists[i]
-                .iter()
-                .filter(|id| phases.get(id).copied().unwrap_or(false))
-                .count(),
-        };
-        checksum = checksum
-            .wrapping_mul(0x100000001B3)
-            .wrapping_add(count as u64 + 1);
+        let recount = lists[i]
+            .iter()
+            .filter(|id| phases.get(id).copied().unwrap_or(false))
+            .count();
+        assert_eq!(
+            trackers[i].in_flight() as usize,
+            recount,
+            "decode-slot tracker diverged from the recount at op {op} (n={n})"
+        );
         // Mutate, biased toward launches so lists stay populated.
         match (r >> 32) % 8 {
             0..=2 => {
@@ -149,26 +144,22 @@ pub fn decode_slot_churn(n: usize, ops: usize, mode: EngineMode) -> u64 {
             }
         }
     }
-    checksum
 }
 
 /// Deterministic server-load churn over a `servers`-node cluster.
 ///
 /// Drives a real [`Cluster`] through serving-lease reserve/release and GPU
 /// revoke/restore traffic, querying the `rank`-th busiest server each step
-/// — via the engine's retained rebuild-and-sort reference in
-/// [`EngineMode::NaiveScan`], via the cluster's incrementally maintained
-/// [`flexpipe_cluster::ServerLoadIndex`] in [`EngineMode::Indexed`].
-/// Returns a checksum over the selected servers, so callers can assert
-/// bit-identical ranking across modes.
-pub fn server_load_churn(servers: usize, ops: usize, mode: EngineMode) -> u64 {
+/// twice — from the cluster's incrementally maintained
+/// [`flexpipe_cluster::ServerLoadIndex`] and by the engine's
+/// rebuild-and-sort reference — and panics if they differ.
+pub fn server_load_churn(servers: usize, ops: usize) {
     assert!(servers > 0, "need at least one server");
     let spec = ClusterSpec::heterogeneous("load-churn", servers as u32, 2 * servers as u32, 8);
     let mut cluster = Cluster::new(spec);
     let gpu_count = cluster.topology().gpu_count() as u64;
     let mut leases: Vec<LeaseId> = Vec::new();
     let mut state = 0x5E17E5u64.wrapping_add(servers as u64);
-    let mut checksum = 0u64;
 
     // The engine's naive reference, verbatim: rebuild and sort per query.
     let naive = |cluster: &Cluster, rank: u32| -> Option<ServerId> {
@@ -189,17 +180,15 @@ pub fn server_load_churn(servers: usize, ops: usize, mode: EngineMode) -> u64 {
         ranked.get(rank as usize).map(|&(_, s)| s)
     };
 
-    for _ in 0..ops {
+    for op in 0..ops {
         let r = splitmix(&mut state);
         // The preemption-targeting read: who is the rank-th busiest?
         let rank = (r % 4) as u32;
-        let picked = match mode {
-            EngineMode::Indexed => cluster.nth_hottest_server(rank),
-            EngineMode::NaiveScan => naive(&cluster, rank),
-        };
-        checksum = checksum
-            .wrapping_mul(0x100000001B3)
-            .wrapping_add(picked.map_or(0, |s| u64::from(s.0) + 1));
+        assert_eq!(
+            cluster.nth_hottest_server(rank),
+            naive(&cluster, rank),
+            "server-load index diverged from the rebuild at op {op} (servers={servers}, rank {rank})"
+        );
         // Mutate: lease churn dominates, with occasional revoke/restore.
         let g = GpuId(((r >> 8) % gpu_count) as u32);
         match (r >> 40) % 8 {
@@ -227,7 +216,6 @@ pub fn server_load_churn(servers: usize, ops: usize, mode: EngineMode) -> u64 {
             }
         }
     }
-    checksum
 }
 
 #[cfg(test)]
@@ -250,22 +238,14 @@ mod tests {
     #[test]
     fn decode_slot_churn_modes_agree() {
         for n in [1usize, 3, 17, 64] {
-            assert_eq!(
-                decode_slot_churn(n, 3_000, EngineMode::Indexed),
-                decode_slot_churn(n, 3_000, EngineMode::NaiveScan),
-                "divergence at n={n}"
-            );
+            decode_slot_churn(n, 3_000);
         }
     }
 
     #[test]
     fn server_load_churn_modes_agree() {
         for servers in [1usize, 2, 9, 40] {
-            assert_eq!(
-                server_load_churn(servers, 2_000, EngineMode::Indexed),
-                server_load_churn(servers, 2_000, EngineMode::NaiveScan),
-                "divergence at servers={servers}"
-            );
+            server_load_churn(servers, 2_000);
         }
     }
 }

@@ -3,10 +3,10 @@
 //! host-memory parameter cache.
 //!
 //! Memory-sizing queries (`max_batch`, `stage_mem_bytes`) route through
-//! the mode-dispatched [`EngineState::max_batch_of`] /
-//! [`EngineState::stage_mem_of`] helpers: the indexed path reuses
-//! memoized Table-2 rows so a refactor storm re-prices layouts in O(1)
-//! per (range, device) instead of re-walking the operator slice.
+//! the [`EngineState::max_batch_of`] / [`EngineState::stage_mem_of`]
+//! helpers, which reuse memoized Table-2 rows so a refactor storm
+//! re-prices layouts in O(1) per (range, device) instead of re-walking
+//! the operator slice.
 
 use std::collections::VecDeque;
 

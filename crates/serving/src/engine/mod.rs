@@ -23,13 +23,13 @@
 //!   ([`indexes::DecodeSlotTracker`] here; the admission index lives in
 //!   [`crate::admission`], the server-load ranking in the cluster crate,
 //!   the memoized Table-2 rows in the model crate) plus the deterministic
-//!   churn harnesses that prove and measure them.
+//!   churn harnesses that hold them to their naive references.
 //!
-//! Every hot path is governed by one engine-wide [`EngineMode`]
-//! ([`crate::config::EngineConfig::admission`]): `Indexed` reads the
-//! incremental structures, `NaiveScan` the retained reference scans. The
-//! two are bit-identical by construction and cross-checked by debug-build
-//! validators on every consultation — the mode changes wall-clock only.
+//! Every hot path reads its incremental structure; there is one engine
+//! path. The naive scan each structure replaced survives only as a
+//! debug-build validator that checks every consultation, and the test
+//! profile keeps debug assertions on, so every test run compares every
+//! decision against its reference while release builds never pay for it.
 
 mod disruption;
 mod exec;
@@ -56,7 +56,7 @@ use flexpipe_partition::GranularityLattice;
 use flexpipe_sim::{EventQueue, RunOutcome, SimRng, SimTime, World};
 use flexpipe_workload::{CvEstimator, Request, RequestId, Workload};
 
-use crate::admission::{AdmissionIndex, EngineMode};
+use crate::admission::AdmissionIndex;
 use crate::config::EngineConfig;
 use crate::instance::{
     Instance, InstanceId, InstanceSnapshot, InstanceState, MicroBatch, UbatchId,
@@ -343,23 +343,16 @@ impl EngineState {
         );
     }
 
-    /// Mode-dispatched Table-2 `max_batch`: the memoized table on the
-    /// indexed path, the uncached cost model on the naive one. Both are
-    /// bit-identical (the table asserts so internally in debug builds).
+    /// Table-2 `max_batch` from the memoized table, which asserts in debug
+    /// builds that it matches the uncached cost model bit for bit.
     pub(super) fn max_batch_of(&self, r: OpRange, gpu_mem: u64) -> u32 {
-        match self.config.admission {
-            EngineMode::Indexed => self.max_batch_memo.max_batch(&self.graph, r, gpu_mem),
-            EngineMode::NaiveScan => self.cost.max_batch(&self.graph, r, gpu_mem),
-        }
+        self.max_batch_memo.max_batch(&self.graph, r, gpu_mem)
     }
 
-    /// Mode-dispatched Table-2 `stage_mem_bytes` (see
+    /// Table-2 `stage_mem_bytes` from the memoized table (see
     /// [`EngineState::max_batch_of`]).
     pub(super) fn stage_mem_of(&self, r: OpRange, batch: u32) -> u64 {
-        match self.config.admission {
-            EngineMode::Indexed => self.max_batch_memo.stage_mem_bytes(&self.graph, r, batch),
-            EngineMode::NaiveScan => self.cost.stage_mem_bytes(&self.graph, r, batch),
-        }
+        self.max_batch_memo.stage_mem_bytes(&self.graph, r, batch)
     }
 
     pub(super) fn new_instance_id(&mut self) -> InstanceId {
@@ -448,20 +441,11 @@ impl<'a> Ctx<'a> {
         self.state.snapshots()
     }
 
-    /// The engine-wide mode: policies with their own incremental
-    /// structures dispatch on it exactly like the engine's hot paths, so
-    /// one toggle governs every indexed/naive pair in the system.
-    pub fn mode(&self) -> EngineMode {
-        self.state.config.admission
-    }
-
     /// Drains the dirty set accumulated since the last call: the
     /// id-sorted list of instances whose snapshot-visible state changed,
     /// each paired with its current snapshot (`None` = the instance is
     /// gone). A warm-start control plane applies these deltas to its
-    /// fleet mirror instead of re-snapshotting everything; the naive
-    /// reference drains them too (and ignores them) so the dirty set's
-    /// lifecycle is identical in both modes.
+    /// fleet mirror instead of re-snapshotting everything.
     pub fn take_dirty(&mut self) -> Vec<(InstanceId, Option<InstanceSnapshot>)> {
         let ids = std::mem::take(&mut self.state.policy_dirty);
         ids.into_iter()

@@ -21,7 +21,7 @@ pub mod queueing;
 pub mod report;
 pub mod version;
 
-pub use admission::{churn, AdmissionIndex, AdmissionMode, EngineMode};
+pub use admission::{churn, AdmissionIndex};
 pub use config::EngineConfig;
 pub use engine::indexes::{decode_slot_churn, server_load_churn, DecodeSlotTracker};
 pub use engine::{
