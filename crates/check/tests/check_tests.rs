@@ -10,8 +10,10 @@ use flexpipe_obs::{TraceEvent, TraceRecord};
 use flexpipe_serving::ENGINE_SEMANTICS_VERSION;
 
 /// The all-zeros stepped schedule IS `run_observed`: same trace bytes,
-/// same report bytes. This is the property that makes explored schedules
-/// comparable against ordinary runs at all.
+/// same report bytes. Both go through `SteppedEngine`, so this pins that
+/// stepping with `step(0)` fires the same events as `finish`'s own
+/// loop — the property that makes explored schedules comparable against
+/// ordinary runs at all.
 #[test]
 fn stepped_canonical_schedule_matches_run_observed() {
     for sc in [

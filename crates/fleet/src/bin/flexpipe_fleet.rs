@@ -43,8 +43,6 @@
 //!                             the worker fleet finish?" check
 //! flexpipe-fleet worker <campaign.json> [options]
 //!     --cache <dir>           override the spec's cache directory
-//!     --store localdisk|log   backend for a fresh cache dir (an existing
-//!                             dir keeps its detected backend)
 //!     --shard i/n             deterministic shard mode: take exactly the
 //!                             cells whose key hashes to shard i of n
 //!                             (stateless, no coordination)
@@ -146,7 +144,7 @@ use flexpipe_fleet::{
     assemble_campaign, cache_salt, find_cell, gate::gate, parse_bench, parse_campaign, parse_spec,
     profile_dispatch, record_cell_trace, run_bench, run_campaign, run_sweep, run_worker,
     AssembleOutcome, BenchSpec, CampaignOptions, CampaignSpec, CellCache, FleetReport, GateConfig,
-    RunOptions, SpecReport, StoreKind, SweepSpec, WorkerOptions,
+    RunOptions, SpecReport, SweepSpec, WorkerOptions,
 };
 use flexpipe_gateway::{
     replay_with, serve_with, LeastLoadedSpillover, NoSpillover, Pacing, PaperSetup, Recording,
@@ -158,7 +156,7 @@ use flexpipe_serving::{TraceMode, ENGINE_SEMANTICS_VERSION};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.json> [--out report.json] [--threads N] [--quiet] [--verbose] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.json> [--out report.json] [--threads N] [--rates 100,200] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.json> [--out-dir DIR] [--cache DIR | --no-cache] [--store localdisk|log] [--threads N] [--quiet] [--verbose] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.json> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.json> [--cache DIR] [--store localdisk|log] [--shard i/n | --claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet] [--verbose]\n  flexpipe-fleet trace record <spec.json> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace diff <a.jsonl> <b.jsonl> [--textual]\n  flexpipe-fleet trace profile [--instances N]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
+        "usage:\n  flexpipe-fleet init [spec.json]\n  flexpipe-fleet run <spec.json> [--out report.json] [--threads N] [--quiet] [--verbose] [--gate baseline.json [--tolerance 0.02]]\n  flexpipe-fleet bench init [bench.json]\n  flexpipe-fleet bench <bench.json> [--out report.json] [--threads N] [--rates 100,200] [--quiet]\n  flexpipe-fleet campaign init [campaign.json]\n  flexpipe-fleet campaign <campaign.json> [--out-dir DIR] [--cache DIR | --no-cache] [--threads N] [--quiet] [--verbose] [--assert-warm] [--gate DIR [--tolerance 0.02]]\n  flexpipe-fleet campaign assemble <campaign.json> [--cache DIR] [--out-dir DIR]\n  flexpipe-fleet worker <campaign.json> [--cache DIR] [--shard i/n | --claim-ttl DUR] [--worker-id ID] [--max-cells N] [--threads N] [--quiet] [--verbose]\n  flexpipe-fleet trace record <spec.json> [--cell ID] [--mode off|ring[:N]|full] [--out trace.jsonl]\n  flexpipe-fleet trace summarize <trace.jsonl>\n  flexpipe-fleet trace diff <a.jsonl> <b.jsonl> [--textual]\n  flexpipe-fleet trace profile [--instances N]\n  flexpipe-fleet serve init [serve.json]\n  flexpipe-fleet serve <serve.json> [--out-dir DIR] [--time-scale X | --unpaced] [--spill least-loaded[:T]]\n  flexpipe-fleet serve replay <recording.json> [--out-dir DIR]\n  flexpipe-fleet check equiv <a.jsonl> <b.jsonl>\n  flexpipe-fleet check equiv --cross-shard [--shards N] [--spec serve.json]\n  flexpipe-fleet check explore [--scenario NAME] [--max-schedules N] [--no-prune]\n  flexpipe-fleet check pin\n  flexpipe-fleet cache stats <dir> [--claim-ttl DUR]\n  flexpipe-fleet cache gc <dir> [--max-age <90s|15m|12h|7d>] [--max-bytes <N>]\n  flexpipe-fleet fingerprint\n  flexpipe-fleet compare <report.json>\n  flexpipe-fleet gate <report.json> --baseline <baseline.json> [--tolerance 0.02] [--strict-cells]"
     );
     ExitCode::from(1)
 }
@@ -227,17 +225,6 @@ fn reject_unknown_flags(args: &[String], verb: &str) -> Result<(), ExitCode> {
             Err(ExitCode::from(1))
         }
         None => Ok(()),
-    }
-}
-
-/// Pulls `--store localdisk|log` out of the argument list.
-fn parse_store(args: &mut Vec<String>) -> Result<Option<StoreKind>, ExitCode> {
-    match take_flag_value(args, "--store")? {
-        None => Ok(None),
-        Some(v) => StoreKind::parse(&v).map(Some).ok_or_else(|| {
-            eprintln!("--store must be `localdisk` or `log`, got `{v}`");
-            ExitCode::from(1)
-        }),
     }
 }
 
@@ -625,7 +612,6 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     let out_dir = take_flag_value(&mut args, "--out-dir")?;
     let cache_override = take_flag_value(&mut args, "--cache")?;
     let no_cache = take_flag(&mut args, "--no-cache");
-    let store = parse_store(&mut args)?;
     let threads = match take_flag_value(&mut args, "--threads")? {
         Some(t) => t.parse::<usize>().map_err(|_| {
             eprintln!("--threads needs an integer");
@@ -674,7 +660,6 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 verbose,
             },
             cache_dir,
-            store,
         },
     )
     .map_err(|e| {
@@ -781,7 +766,6 @@ fn cmd_campaign_assemble(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
 /// `fleet worker`: one distributed campaign worker process.
 fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
     let cache_override = take_flag_value(&mut args, "--cache")?;
-    let store = parse_store(&mut args)?;
     let shard = match take_flag_value(&mut args, "--shard")? {
         None => None,
         Some(v) => {
@@ -840,7 +824,6 @@ fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
         shard,
         claim_ttl,
         max_cells,
-        store,
         ..Default::default()
     };
     if let Some(id) = worker_id {
@@ -1204,15 +1187,9 @@ fn cmd_cache(mut args: Vec<String>) -> Result<ExitCode, ExitCode> {
                 ExitCode::from(1)
             })?;
             println!(
-                "cache {dir} ({}): {} entries ({} sweep, {} bench), {} stale-salt, {} foreign, \
+                "cache {dir}: {} entries ({} sweep, {} bench), {} stale-salt, {} foreign, \
                  {} bytes",
-                cache.backend().kind(),
-                s.entries,
-                s.sweep_cells,
-                s.bench_cells,
-                s.stale_salt,
-                s.foreign,
-                s.bytes
+                s.entries, s.sweep_cells, s.bench_cells, s.stale_salt, s.foreign, s.bytes
             );
             println!(
                 "claims: {} live, {} stale (older than {claim_ttl:?}; reaped by workers, \

@@ -23,34 +23,30 @@
 //!    built from different engine semantics address disjoint keys, so a
 //!    stale binary can never poison a newer campaign's cells.
 //!
-//! Storage is pluggable behind the [`CacheStore`] trait
-//! ([`crate::store`]): the default [`crate::store::LocalDiskStore`] keeps
-//! one atomically-renamed JSON file per entry under
-//! `<dir>/<key[0..2]>/<key>.json` (safe to share over NFS or rsync), and
-//! the single-file [`crate::store::LogStore`] append log proves the seam.
-//! Whatever the backend, entries land atomically — a killed run never
+//! Storage is [`crate::store::LocalDiskStore`]: one atomically-renamed
+//! JSON file per entry under `<dir>/<key[0..2]>/<key>.json` (safe to
+//! share over NFS or rsync). Entries land atomically — a killed run never
 //! leaves a torn entry, and a resumed run either sees a complete result
 //! or recomputes. Truncated and panicked cells are **never** cached — an
 //! interrupted (step-budget-truncated) cell must be recomputed, which is
 //! what makes kill-and-resume byte-identical to an uninterrupted run.
 //!
-//! Worker claims (`<key>.claim` files / log claim records) ride in the
-//! same store but are bookkeeping, not results: `stats` counts them
-//! separately from cell entries, and `gc` **never** removes a live claim
-//! — stale claims are reaped only explicitly, by TTL.
+//! Worker claims (`<key>.claim` files) ride in the same store but are
+//! bookkeeping, not results: `stats` counts them separately from cell
+//! entries, and `gc` **never** removes a live claim — stale claims are
+//! reaped only explicitly, by TTL.
 //!
 //! Nothing wall-clock enters entry *contents*; `stats` / `gc` age entries
 //! by storage mtime, which stays outside every byte-compared artifact.
 
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize, Value};
 
 use crate::report::{CellMetrics, REPORT_VERSION};
-use crate::store::{open_store, CacheStore, ClaimInfo, ClaimOutcome, GcOutcome, StoreKind};
+use crate::store::{ClaimInfo, ClaimOutcome, GcOutcome, LocalDiskStore};
 
 /// Cache on-disk format version; bump on entry-layout changes.
 pub const CACHE_FORMAT_VERSION: u32 = 1;
@@ -168,42 +164,23 @@ pub struct CacheStats {
     pub newest_secs: u64,
 }
 
-/// A content-addressed cell cache over a pluggable [`CacheStore`].
+/// A content-addressed cell cache over a [`LocalDiskStore`].
 #[derive(Debug, Clone)]
 pub struct CellCache {
-    store: Arc<dyn CacheStore>,
+    store: LocalDiskStore,
 }
 
 impl CellCache {
-    /// Opens (creating if needed) a cache at `dir` with backend
-    /// autodetection: an existing `cells.log` selects the append-log
-    /// store, anything else the localdisk layout.
+    /// Opens (creating if needed) a cache at `dir`.
     pub fn open(dir: &Path) -> io::Result<CellCache> {
-        CellCache::open_kind(dir, None)
-    }
-
-    /// Opens a cache at `dir` with an explicit backend preference. An
-    /// already-initialized directory keeps its detected backend (mixing
-    /// engines in one directory would split the cache invisibly).
-    pub fn open_kind(dir: &Path, kind: Option<StoreKind>) -> io::Result<CellCache> {
         Ok(CellCache {
-            store: open_store(dir, kind)?,
+            store: LocalDiskStore::open(dir)?,
         })
-    }
-
-    /// Wraps an already-open storage engine.
-    pub fn with_store(store: Arc<dyn CacheStore>) -> CellCache {
-        CellCache { store }
     }
 
     /// The cache root.
     pub fn dir(&self) -> &Path {
         self.store.root()
-    }
-
-    /// The underlying storage engine.
-    pub fn backend(&self) -> &dyn CacheStore {
-        self.store.as_ref()
     }
 
     /// Loads the metrics cached under `key`, if a complete, matching
@@ -261,12 +238,12 @@ impl CellCache {
         Ok(true)
     }
 
-    /// Attempts to claim `key` for `worker` (see [`CacheStore::try_claim`]).
+    /// Attempts to claim `key` for `worker` (see [`LocalDiskStore::try_claim`]).
     pub fn try_claim(&self, key: &str, worker: &str) -> io::Result<ClaimOutcome> {
         self.store.try_claim(key, worker)
     }
 
-    /// Heartbeats a held claim (see [`CacheStore::refresh_claim`]).
+    /// Heartbeats a held claim (see [`LocalDiskStore::refresh_claim`]).
     pub fn refresh_claim(&self, key: &str, worker: &str) -> io::Result<bool> {
         self.store.refresh_claim(key, worker)
     }
@@ -333,7 +310,7 @@ impl CellCache {
     }
 
     /// Removes every entry older than `max_age`. Live claims are never
-    /// touched (see [`CacheStore::gc`]).
+    /// touched (see [`LocalDiskStore::gc`]).
     pub fn gc(&self, max_age: Duration) -> io::Result<GcOutcome> {
         self.store.gc(Some(max_age), None)
     }
@@ -403,16 +380,12 @@ mod tests {
         dir
     }
 
-    /// Every cache-semantics test runs against both backends: the cache
-    /// layer must be backend-agnostic by construction.
-    fn both_backends(tag: &str, f: impl Fn(&CellCache)) {
-        for kind in [StoreKind::LocalDisk, StoreKind::Log] {
-            let dir = tmp(&format!("{tag}-{}", kind.name()));
-            let cache = CellCache::open_kind(&dir, Some(kind)).unwrap();
-            assert_eq!(cache.backend().kind(), kind.name());
-            f(&cache);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+    /// Runs `f` against a fresh cache in its own temp directory.
+    fn with_fresh_cache(tag: &str, f: impl Fn(&CellCache)) {
+        let dir = tmp(tag);
+        let cache = CellCache::open(&dir).unwrap();
+        f(&cache);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -475,7 +448,7 @@ mod tests {
 
     #[test]
     fn store_load_round_trips_and_refuses_incomplete_cells() {
-        both_backends("roundtrip", |cache| {
+        with_fresh_cache("roundtrip", |cache| {
             let m = tiny_metrics();
             assert!(cache.load("0123", u64::MAX).is_none());
             assert!(cache.store("0123", "sweep", "cell-a", &m).unwrap());
@@ -496,7 +469,7 @@ mod tests {
 
     #[test]
     fn entries_only_replay_under_budgets_they_fit() {
-        both_backends("budget", |cache| {
+        with_fresh_cache("budget", |cache| {
             let m = tiny_metrics(); // events = 1234
             cache.store("b001", "sweep", "cell", &m).unwrap();
             // A budget the cached run demonstrably fits: hit.
@@ -521,21 +494,6 @@ mod tests {
         cache.store("abce", "sweep", "cell", &m).unwrap();
         std::fs::rename(dir.join("ab").join("abce.json"), &path).unwrap();
         assert!(cache.load("abcd", u64::MAX).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn backend_autodetection_is_sticky() {
-        let dir = tmp("detect");
-        // First open as log; a later open with no (or a conflicting)
-        // preference must keep finding the log.
-        let cache = CellCache::open_kind(&dir, Some(StoreKind::Log)).unwrap();
-        cache.store("aa11", "sweep", "s", &tiny_metrics()).unwrap();
-        let re = CellCache::open(&dir).unwrap();
-        assert_eq!(re.backend().kind(), "log");
-        assert!(re.load("aa11", u64::MAX).is_some());
-        let conflicted = CellCache::open_kind(&dir, Some(StoreKind::LocalDisk)).unwrap();
-        assert_eq!(conflicted.backend().kind(), "log");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -569,7 +527,7 @@ mod tests {
 
     #[test]
     fn stats_count_claims_separately_and_gc_spares_them() {
-        both_backends("claimstats", |cache| {
+        with_fresh_cache("claimstats", |cache| {
             let m = tiny_metrics();
             cache.store("aa11", "sweep", "s", &m).unwrap();
             cache.try_claim("bb22", "w1").unwrap();

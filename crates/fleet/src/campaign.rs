@@ -35,7 +35,6 @@ use crate::runner::{
     effective_threads, failed_cell_metrics, parallel_indexed, run_cell, FleetError, RunOptions,
 };
 use crate::spec::{Cell, SweepSpec};
-use crate::store::StoreKind;
 use crate::BenchSpec;
 
 /// Campaign manifest format version.
@@ -333,9 +332,6 @@ pub struct CampaignOptions {
     /// Cache directory; `None` disables both lookups and stores
     /// (`--no-cache`).
     pub cache_dir: Option<PathBuf>,
-    /// Storage backend preference for a fresh cache directory
-    /// (`--store`); an initialized directory keeps its detected backend.
-    pub store: Option<StoreKind>,
 }
 
 /// Cache interaction counters of one campaign run. Deliberately **not**
@@ -550,7 +546,7 @@ pub fn run_campaign(
     let plan = CampaignPlan::load(spec, base_dir)?;
     let cache = match &opts.cache_dir {
         Some(dir) => Some(
-            CellCache::open_kind(dir, opts.store)
+            CellCache::open(dir)
                 .map_err(|e| FleetError(format!("cannot open cache {}: {e}", dir.display())))?,
         ),
         None => None,
@@ -943,7 +939,6 @@ mod tests {
                 ..Default::default()
             },
             cache_dir: Some(dir.join("cells")),
-            store: None,
         }
     }
 
@@ -987,6 +982,15 @@ mod tests {
         let spec = write_campaign(&dir);
 
         let cold = run_campaign(&spec, &dir, &opts(&dir, 2)).unwrap();
+        // The runner records a panicking cell as failed instead of
+        // aborting, so the byte comparisons below cannot see one.
+        for report in &cold.reports {
+            let failed = match report {
+                SpecReport::Sweep(r) => r.cells.iter().any(|c| c.metrics.failed),
+                SpecReport::Bench(r) => r.cells.iter().any(|c| c.metrics.failed),
+            };
+            assert!(!failed, "a cell panicked");
+        }
         assert_eq!(cold.stats.hits, 0);
         assert_eq!(cold.stats.misses, 3);
         assert_eq!(cold.stats.stored, 3);
@@ -1013,7 +1017,6 @@ mod tests {
                     ..Default::default()
                 },
                 cache_dir: None,
-                store: None,
             },
         )
         .unwrap();

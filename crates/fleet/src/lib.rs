@@ -30,10 +30,9 @@
 //!   canonicalized semantics under the engine-fingerprint salt, entries
 //!   write atomically, truncated cells never persist (the resume
 //!   mechanism), `stats`/`gc` bound the directory;
-//! - [`store`] — the pluggable storage layer under the cache
-//!   ([`CacheStore`]): the sharded localdisk layout (default,
-//!   NFS-shareable) and a single-file append log, both passing one
-//!   conformance suite, plus the atomic worker-claim protocol;
+//! - [`store`] — the storage layer under the cache
+//!   ([`LocalDiskStore`]): the sharded, NFS-shareable one-file-per-entry
+//!   layout plus the atomic worker-claim protocol;
 //! - [`worker`] — the distributed campaign worker (`fleet worker`):
 //!   drain one campaign's cell list from N processes/machines against a
 //!   shared cache dir, by deterministic shard (`--shard i/n`) or by
@@ -91,8 +90,7 @@ pub use spec::{
     PolicySpec, SweepSpec,
 };
 pub use store::{
-    open_store, CacheStore, ClaimInfo, ClaimOutcome, GcOutcome, StoreKind, StoredObject,
-    DEFAULT_CLAIM_TTL,
+    ClaimInfo, ClaimOutcome, GcOutcome, LocalDiskStore, StoredObject, DEFAULT_CLAIM_TTL,
 };
 pub use trace::{find_cell, profile_dispatch, profile_spec, record_cell_trace};
 pub use worker::{run_worker, WorkerOptions, WorkerOutcome};

@@ -17,7 +17,7 @@
 //!   replacement with the same `i/n` is started.
 //! - **Claim mode** (default): workers race over the full cell list,
 //!   coordinating through atomic claim markers in the cache
-//!   ([`crate::store::CacheStore::try_claim`]). A claim holds the
+//!   ([`crate::store::LocalDiskStore::try_claim`]). A claim holds the
 //!   worker id and is heartbeated (mtime refresh) while the cell
 //!   computes; claims whose heartbeat is older than `--claim-ttl` are
 //!   presumed dead and reaped by any live worker. Workers visit pending
@@ -64,9 +64,6 @@ pub struct WorkerOptions {
     /// Stop after computing this many cells (chunked draining; also how
     /// tests simulate a worker killed mid-campaign). `None` drains.
     pub max_cells: Option<usize>,
-    /// Storage backend preference for a fresh cache directory; an
-    /// initialized directory keeps its detected backend.
-    pub store: Option<crate::store::StoreKind>,
 }
 
 impl Default for WorkerOptions {
@@ -77,7 +74,6 @@ impl Default for WorkerOptions {
             shard: None,
             claim_ttl: DEFAULT_CLAIM_TTL,
             max_cells: None,
-            store: None,
         }
     }
 }
@@ -130,7 +126,7 @@ pub fn run_worker(
         }
     }
     let plan = CampaignPlan::load(spec, base_dir)?;
-    let cache = CellCache::open_kind(cache_dir, opts.store)
+    let cache = CellCache::open(cache_dir)
         .map_err(|e| FleetError(format!("cannot open cache {}: {e}", cache_dir.display())))?;
     let setups = plan.setups();
 

@@ -117,6 +117,18 @@ fn read_dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// Fails when an artifact records a panicked cell. The runners record a
+/// cell that panics as `"failed": true` instead of aborting, so two
+/// artifact sets can agree byte for byte while both failed the same cell.
+fn assert_no_failed_cell(files: &[(String, Vec<u8>)]) {
+    for (name, bytes) in files {
+        assert!(
+            !String::from_utf8_lossy(bytes).contains("\"failed\": true"),
+            "{name} records a failed cell"
+        );
+    }
+}
+
 #[test]
 fn cold_warm_pipeline_is_all_hits_and_byte_identical() {
     let dir = tmp_dir("coldwarm");
@@ -175,6 +187,7 @@ fn cold_warm_pipeline_is_all_hits_and_byte_identical() {
     let cold = read_dir_bytes(&dir.join("out-cold"));
     let warm = read_dir_bytes(&dir.join("out-warm"));
     assert_eq!(cold.len(), 3);
+    assert_no_failed_cell(&cold);
     assert_eq!(cold, warm, "cold and warm artifacts diverged");
 
     // The timing sidecar rides beside them: per-cell wall ms + cache
@@ -274,6 +287,7 @@ fn truncated_campaign_resumes_to_byte_identical_artifacts() {
             .arg("--no-cache"),
     );
     let reference = read_dir_bytes(&dir.join("out-ref"));
+    assert_no_failed_cell(&reference);
 
     // Pick a step budget that splits the grid: above the cheapest cell,
     // below the dearest.

@@ -282,6 +282,12 @@ fn rerunning_the_cli_reproduces_the_artifact_byte_identically() {
         );
         artifacts.push(std::fs::read(&report_path).unwrap());
     }
+    // The runner records a panicking cell as failed instead of aborting,
+    // so two artifacts can agree while both failed the same cell.
+    assert!(
+        !String::from_utf8_lossy(&artifacts[0]).contains("\"failed\": true"),
+        "the report records a failed cell"
+    );
     assert_eq!(
         artifacts[0], artifacts[1],
         "CLI reruns must reproduce the report byte-for-byte"
@@ -323,29 +329,44 @@ fn usage_errors_exit_one() {
     let arg = |p: &PathBuf| p.to_str().expect("temp paths are UTF-8").to_owned();
     let (bench_arg, sweep_arg, campaign_arg) =
         (arg(&bench_spec), arg(&sweep_spec), arg(&campaign_spec));
-    let unknown: [(&[&str], &str); 7] = [
-        (&["trace", "profile", "--min-speedup", "2"], "--min-speedup"),
-        (&["bench", "--live"], "--live"),
-        (&["bench", &bench_arg, "--hot-paths"], "--hot-paths"),
-        (&["run", &sweep_arg, "--admission", "naive"], "--admission"),
+    // Each case names the text that follows `unknown flag ` on stderr.
+    let unknown: [(&[&str], &str); 9] = [
+        (
+            &["trace", "profile", "--min-speedup", "2"],
+            "--min-speedup for ",
+        ),
+        (&["bench", "--live"], "--live for "),
+        (&["bench", &bench_arg, "--hot-paths"], "--hot-paths for "),
+        (
+            &["run", &sweep_arg, "--admission", "naive"],
+            "--admission for ",
+        ),
         (
             &["campaign", &campaign_arg, "--admission", "naive"],
-            "--admission",
+            "--admission for ",
         ),
         (
             &["worker", &campaign_arg, "--admission", "naive"],
-            "--admission",
+            "--admission for ",
         ),
         (
             &["trace", "record", &sweep_arg, "--admission", "naive"],
-            "--admission",
+            "--admission for ",
+        ),
+        (
+            &["campaign", &campaign_arg, "--store", "log"],
+            "--store for campaign",
+        ),
+        (
+            &["worker", &campaign_arg, "--store", "log"],
+            "--store for worker",
         ),
     ];
-    for (args, flag) in unknown {
+    for (args, expect) in unknown {
         let out = bin().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag {flag} for ")),
+            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag {expect}")),
             "{args:?}: {out:?}"
         );
     }

@@ -230,8 +230,13 @@ fn committed_spec_reports_are_byte_identical_in_every_trace_mode() {
                 ..Default::default()
             },
         )
-        .unwrap()
-        .to_json();
+        .unwrap();
+        // The runner records a panicking cell as failed instead of
+        // aborting, so the byte comparison alone cannot see one.
+        for c in &baseline.cells {
+            assert!(!c.metrics.failed, "{file}: cell {} panicked", c.cell.id());
+        }
+        let baseline = baseline.to_json();
         for mode in [TraceMode::Off, TraceMode::Ring(512), TraceMode::Full] {
             let results: Vec<CellResult> = spec
                 .expand()

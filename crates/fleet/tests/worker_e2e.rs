@@ -3,7 +3,7 @@
 //! assemble`, and the headline determinism contract — the assembled
 //! artifact set is byte-identical whether one process ran the campaign,
 //! three sharded workers split it, or three claiming workers raced over
-//! it, at shuffled thread counts, on either storage backend.
+//! it, at shuffled thread counts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -117,6 +117,18 @@ fn read_dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// Fails when an artifact records a panicked cell. The runners record a
+/// cell that panics as `"failed": true` instead of aborting, so two
+/// artifact sets can agree byte for byte while both failed the same cell.
+fn assert_no_failed_cell(files: &[(String, Vec<u8>)]) {
+    for (name, bytes) in files {
+        assert!(
+            !String::from_utf8_lossy(bytes).contains("\"failed\": true"),
+            "{name} records a failed cell"
+        );
+    }
+}
+
 fn assemble(campaign: &Path, cache: &Path, out_dir: &Path) -> Output {
     run_ok(
         bin()
@@ -131,9 +143,8 @@ fn assemble(campaign: &Path, cache: &Path, out_dir: &Path) -> Output {
 }
 
 /// The tentpole contract: 1 process vs 3 sharded workers vs 3
-/// concurrent claiming workers (threads shuffled) vs 1 worker on the
-/// append-log backend — four topologies, one byte-identical artifact
-/// set.
+/// concurrent claiming workers (threads shuffled) — three topologies,
+/// one byte-identical artifact set.
 #[test]
 fn topologies_assemble_byte_identical_artifacts() {
     let dir = tmp_dir("topo");
@@ -153,6 +164,7 @@ fn topologies_assemble_byte_identical_artifacts() {
             .arg("--quiet"),
     );
     let reference = read_dir_bytes(&dir.join("out-1w"));
+    assert_no_failed_cell(&reference);
     assert_eq!(reference.len(), 3, "two reports + campaign.json");
 
     // Topology 2: three sharded workers, disjoint cells, shuffled thread
@@ -222,29 +234,6 @@ fn topologies_assemble_byte_identical_artifacts() {
         "drained campaign left claims: {stdout}"
     );
     assert!(stdout.contains("5 entries"), "{stdout}");
-
-    // Topology 4: one worker on the append-log backend — the same cells
-    // through a structurally different store, same bytes out.
-    let cache = dir.join("cells-log");
-    run_ok(
-        bin()
-            .arg("worker")
-            .arg(&campaign)
-            .arg("--cache")
-            .arg(&cache)
-            .arg("--store")
-            .arg("log")
-            .arg("--threads")
-            .arg("2")
-            .arg("--quiet"),
-    );
-    assert!(cache.join("cells.log").is_file(), "log backend selected");
-    assemble(&campaign, &cache, &dir.join("out-log"));
-    assert_eq!(
-        reference,
-        read_dir_bytes(&dir.join("out-log")),
-        "append-log backend diverged from the single-process run"
-    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -439,8 +428,10 @@ fn killed_worker_resumes_without_recomputing_cached_cells() {
 
     // The drained cache assembles to the same bytes as the reference.
     assemble(&campaign, &cache, &dir.join("out-resumed"));
+    let reference = read_dir_bytes(&dir.join("out-keys"));
+    assert_no_failed_cell(&reference);
     assert_eq!(
-        read_dir_bytes(&dir.join("out-keys")),
+        reference,
         read_dir_bytes(&dir.join("out-resumed")),
         "resumed fleet diverged from the uninterrupted run"
     );
@@ -471,6 +462,7 @@ fn committed_campaign_is_byte_identical_across_topologies() {
             .arg("--quiet"),
     );
     let reference = read_dir_bytes(&dir.join("out-1w"));
+    assert_no_failed_cell(&reference);
 
     let cache = dir.join("cells-shard");
     for i in 0..3 {

@@ -15,7 +15,8 @@
 //! - [`serve`](mod@serve) — the orchestration: an open-loop generator
 //!   pacing the
 //!   stream onto `N` shard threads, each an independent engine
-//!   partition driven through `flexpipe_serving::LiveEngine`;
+//!   partition driven through `flexpipe_serving::SteppedEngine`, the
+//!   same driver that runs every offline cell;
 //!   [`serve()`](serve::serve) records, [`replay()`](serve::replay)
 //!   re-executes a recording byte-for-byte.
 //!

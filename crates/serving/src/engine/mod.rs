@@ -11,7 +11,9 @@
 //!
 //! - `mod.rs` (this file) — the [`Event`] vocabulary, [`Scenario`],
 //!   [`EngineState`] (all mutable state) with its read-side accessors,
-//!   the [`Engine`] event loop and the policy-facing [`Ctx`];
+//!   the [`Engine`] event handler and the policy-facing [`Ctx`];
+//! - `stepped` — [`SteppedEngine`], the one driver that fires events:
+//!   offline runs, live injection and schedule exploration alike;
 //! - `lifecycle` — spawn / ready / retire / release, the inflight
 //!   refactor state machine (prepare → pause → commit/abort) and the
 //!   host-memory parameter cache;
@@ -35,16 +37,14 @@ mod disruption;
 mod exec;
 pub mod indexes;
 mod lifecycle;
-mod live;
 mod stepped;
 
-pub use live::LiveEngine;
 pub use stepped::SteppedEngine;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use flexpipe_chaos::{Disruption, DisruptionScript};
+use flexpipe_chaos::DisruptionScript;
 use flexpipe_cluster::{
     BackgroundProfile, BackgroundTenants, Cluster, ClusterSpec, GpuId, GpuSet, LeaseId,
     Provisioner, ServerId, TierConfig, TransferEngine,
@@ -53,7 +53,7 @@ use flexpipe_metrics::{DisruptionLedger, OutcomeLog, Timeline, UtilizationLedger
 use flexpipe_model::{CostModel, MaxBatchTable, ModelGraph, OpRange};
 use flexpipe_obs::{TraceEvent, TraceMode, TraceRecorder};
 use flexpipe_partition::GranularityLattice;
-use flexpipe_sim::{EventQueue, RunOutcome, SimRng, SimTime, World};
+use flexpipe_sim::{EventQueue, SimRng, SimTime};
 use flexpipe_workload::{CvEstimator, Request, RequestId, Workload};
 
 use crate::admission::AdmissionIndex;
@@ -399,8 +399,6 @@ impl EngineState {
 pub struct Engine {
     pub(super) state: EngineState,
     pub(super) policy: Option<Box<dyn ControlPolicy>>,
-    pub(super) events_seen: u64,
-    pub(super) truncated: bool,
 }
 
 /// Everything one observed run produces: the deterministic report plus
@@ -603,8 +601,6 @@ impl Engine {
         Engine {
             state,
             policy: Some(policy),
-            events_seen: 0,
-            truncated: false,
         }
     }
 
@@ -638,65 +634,14 @@ impl Engine {
 
     /// Runs the scenario and returns the report together with the trace
     /// side channel (see [`Engine::set_trace`]).
-    pub fn run_observed(mut self) -> ObservedRun {
-        let mut queue: EventQueue<Event> = EventQueue::new();
-        self.prime(&mut queue);
-        let horizon = self.state.horizon;
-        let max_events = self.state.config.max_events;
-        let (outcome, steps) = flexpipe_sim::run(&mut self, &mut queue, horizon, max_events);
-        self.finish_observed(outcome, steps)
+    pub fn run_observed(self) -> ObservedRun {
+        SteppedEngine::new(self).finish()
     }
 
-    /// Seeds the event queue and runs policy initialisation — everything
-    /// `run_observed` does before entering the event loop. Shared with the
-    /// step-controllable driver ([`crate::SteppedEngine`]) so both paths
-    /// start from bit-identical state.
-    pub(crate) fn prime(&mut self, queue: &mut EventQueue<Event>) {
-        // Policy initialisation (deploys the initial configuration).
-        self.with_policy(queue, |p, ctx| p.init(ctx));
-        // Seed the event streams.
-        if !self.state.workload.is_empty() {
-            let t = self.state.workload[0].arrival;
-            queue
-                .schedule(t, Event::Arrival(0))
-                .expect("arrival in future");
-        }
-        queue.schedule_now(Event::ControlTick);
-        queue
-            .schedule_after(self.state.config.churn_step, Event::Churn)
-            .expect("future");
-        // Scripted disruptions (already time-sorted). Rate surges are a
-        // workload-generation concern and never enter the queue.
-        for (i, ev) in self.state.script.events.iter().enumerate() {
-            if matches!(ev.kind, Disruption::RateSurge { .. }) {
-                continue;
-            }
-            let at = SimTime::from_secs_f64(ev.at_secs.max(0.0));
-            if at < self.state.horizon {
-                queue
-                    .schedule(at, Event::Disruption(i as u32))
-                    .expect("script starts at or after t=0");
-            }
-        }
-    }
-
-    /// Folds a finished event loop into the observed-run artifacts — the
-    /// tail of `run_observed`, shared with [`crate::SteppedEngine`].
-    pub(crate) fn finish_observed(mut self, outcome: RunOutcome, steps: u64) -> ObservedRun {
-        let horizon = self.state.horizon;
-        self.events_seen = steps;
-        // The step budget is a first-class watchdog, not an assertion: a
-        // fleet sweep must be able to bound runaway cells and report them
-        // as truncated rather than abort the whole grid.
-        self.truncated = matches!(outcome, RunOutcome::StepBudgetExhausted);
-        let trace = std::mem::take(&mut self.state.obs);
-        let report = self.into_report(horizon);
-        ObservedRun { report, trace }
-    }
-
-    fn into_report(self, horizon: SimTime) -> RunReport {
-        let truncated = self.truncated;
+    /// Folds a finished run of `events` events into its report.
+    fn into_report(self, events: u64, truncated: bool) -> RunReport {
         let mut st = self.state;
+        let horizon = st.horizon;
         st.disruptions.finalize(horizon);
         let span = horizon.as_secs_f64();
         // Canonical order before summarizing: byte-identical reports across
@@ -730,15 +675,13 @@ impl Engine {
             warm_loads: st.warm_loads,
             cold_loads: st.cold_loads,
             disruptions: st.disruptions.into_stats(),
-            events: self.events_seen,
+            events,
             truncated,
         }
     }
-}
 
-impl World for Engine {
-    type Event = Event;
-
+    /// Handles one event fired at `now`; may schedule more via `queue`.
+    /// [`SteppedEngine`] is its only caller.
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         match event {
             Event::Arrival(i) => {

@@ -24,9 +24,7 @@ pub mod version;
 pub use admission::{churn, AdmissionIndex};
 pub use config::EngineConfig;
 pub use engine::indexes::{decode_slot_churn, server_load_churn, DecodeSlotTracker};
-pub use engine::{
-    Ctx, Engine, EngineState, Event, LiveEngine, ObservedRun, Scenario, SteppedEngine,
-};
+pub use engine::{Ctx, Engine, EngineState, Event, ObservedRun, Scenario, SteppedEngine};
 pub use flexpipe_obs::{TraceEvent, TraceMode, TraceRecord, TraceRecorder};
 pub use instance::{
     Instance, InstanceId, InstanceSnapshot, InstanceState, MicroBatch, Phase, UbatchId,

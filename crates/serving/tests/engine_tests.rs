@@ -8,7 +8,8 @@ use flexpipe_cluster::{BackgroundProfile, ClusterSpec, TierConfig};
 use flexpipe_model::{zoo, CostModel};
 use flexpipe_partition::{GranularityLattice, PartitionParams, Partitioner};
 use flexpipe_serving::{
-    ControlPolicy, Ctx, Engine, EngineConfig, Placement, RefactorPlan, Scenario, StageAssign,
+    ControlPolicy, Ctx, Engine, EngineConfig, Placement, RefactorPlan, RunReport, Scenario,
+    StageAssign, SteppedEngine,
 };
 use flexpipe_sim::{SimDuration, SimTime};
 use flexpipe_workload::{ArrivalSpec, LengthProfile, WorkloadSpec};
@@ -1028,4 +1029,85 @@ fn batch_scaling_compresses_hop_traffic() {
         scaled.summary.mean_communication,
         linear.summary.mean_communication
     );
+}
+
+/// Runs `sc` through the live-injection path: an engine over an empty
+/// workload, fed each request with `advance_before` + `push_arrival`
+/// exactly as a gateway shard feeds it.
+fn run_live(
+    mut sc: Scenario,
+    graph: Arc<flexpipe_model::ModelGraph>,
+    lattice: Arc<GranularityLattice>,
+    policy: Box<dyn ControlPolicy>,
+) -> RunReport {
+    let requests = std::mem::take(&mut sc.workload.requests);
+    let mut live = SteppedEngine::new(Engine::new(sc, graph, lattice, policy));
+    for req in requests {
+        live.advance_before(req.arrival);
+        live.push_arrival(req);
+    }
+    live.finish().report
+}
+
+#[test]
+fn a_run_that_fires_exactly_its_budget_is_truncated_however_it_is_driven() {
+    let (graph, lattice) = llama_artifacts();
+    let policy = || -> Box<dyn ControlPolicy> {
+        Box::new(StaticPolicy {
+            stages: 2,
+            replicas: 1,
+        })
+    };
+    let sc = scenario(1.0, 4.0, 60.0, 3);
+    assert!(sc.workload.requests[0].arrival > SimTime::ZERO);
+    let free = Engine::new(sc.clone(), graph.clone(), lattice.clone(), policy()).run();
+    assert!(!free.truncated);
+    // Spending the budget on the run's last event truncates it, even
+    // though nothing was left to fire; one more event of budget does not.
+    for (budget, truncated) in [(free.events, true), (free.events + 1, false)] {
+        let mut sc = sc.clone();
+        sc.config.max_events = budget;
+        let offline = Engine::new(sc.clone(), graph.clone(), lattice.clone(), policy()).run();
+        let live = run_live(sc, graph.clone(), lattice.clone(), policy());
+        for (path, report) in [("offline", &offline), ("live", &live)] {
+            assert_eq!(report.events, free.events, "{path} events, budget {budget}");
+            assert_eq!(
+                report.truncated, truncated,
+                "{path} truncated, budget {budget}"
+            );
+        }
+    }
+}
+
+#[test]
+fn live_injection_reproduces_the_offline_report() {
+    let (graph, lattice) = llama_artifacts();
+    let policy = || -> Box<dyn ControlPolicy> {
+        Box::new(RefactorOnce {
+            to_stages: 4,
+            at: SimTime::from_secs(10),
+            fired: false,
+        })
+    };
+    for cv in [1.0, 2.0] {
+        for seed in 1..=4 {
+            let mut sc = scenario(cv, 4.0, 60.0, seed);
+            sc.background = BackgroundProfile::testbed_like();
+            // An arrival at t = 0 is the one place the paths differ: the
+            // offline run queues it ahead of the first control tick, an
+            // injected one sorts after it.
+            assert!(
+                sc.workload.requests[0].arrival > SimTime::ZERO,
+                "cv {cv}, seed {seed}"
+            );
+            let offline = Engine::new(sc.clone(), graph.clone(), lattice.clone(), policy()).run();
+            assert_eq!(offline.refactors, 1, "cv {cv}, seed {seed}");
+            let live = run_live(sc, graph.clone(), lattice.clone(), policy());
+            assert_eq!(
+                serde_json::to_string(&live).unwrap(),
+                serde_json::to_string(&offline).unwrap(),
+                "cv {cv}, seed {seed}"
+            );
+        }
+    }
 }

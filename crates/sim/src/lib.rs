@@ -20,13 +20,11 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use dist::{ExpInterarrival, GammaInterarrival, LogNormalSampler, SampleStats};
-pub use engine::{run, RunOutcome, World};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

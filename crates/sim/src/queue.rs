@@ -81,7 +81,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: SimTime,
     next_seq: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -97,7 +96,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -114,11 +112,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events fired so far.
-    pub fn events_fired(&self) -> u64 {
-        self.popped
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -159,30 +152,7 @@ impl<E> EventQueue<E> {
         let scheduled = self.heap.pop()?;
         debug_assert!(scheduled.at >= self.now, "event queue time went backwards");
         self.now = scheduled.at;
-        self.popped += 1;
         Some((scheduled.at, scheduled.event))
-    }
-
-    /// Pops the next event only if it fires at or before `deadline`.
-    ///
-    /// When the next event is later than `deadline` the clock advances to
-    /// `deadline` and `None` is returned, so callers can run a simulation
-    /// "until t" and leave the remaining events intact.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => {
-                if deadline > self.now {
-                    self.now = deadline;
-                }
-                None
-            }
-        }
-    }
-
-    /// Drops all pending events, keeping the clock.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 
     /// The events tied at the earliest firing time, in deterministic
@@ -228,7 +198,6 @@ impl<E> EventQueue<E> {
         self.heap.extend(batch);
         debug_assert!(chosen.at >= self.now, "event queue time went backwards");
         self.now = chosen.at;
-        self.popped += 1;
         Some((chosen.at, chosen.event))
     }
 }
@@ -292,25 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), 'a').unwrap();
-        q.schedule(SimTime::from_secs(10), 'b').unwrap();
-        assert_eq!(
-            q.pop_until(SimTime::from_secs(5)),
-            Some((SimTime::from_secs(1), 'a'))
-        );
-        assert_eq!(q.pop_until(SimTime::from_secs(5)), None);
-        assert_eq!(q.now(), SimTime::from_secs(5));
-        assert_eq!(q.len(), 1);
-        // The remaining event is still there and fires later.
-        assert_eq!(
-            q.pop_until(SimTime::from_secs(20)),
-            Some((SimTime::from_secs(10), 'b'))
-        );
-    }
-
-    #[test]
     fn front_batch_lists_ties_in_insertion_order() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(2), 'x').unwrap();
@@ -342,7 +292,6 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(a.events_fired(), b.events_fired());
     }
 
     #[test]
@@ -364,16 +313,5 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_tied(0), Some((SimTime::from_secs(2), 99)));
         assert_eq!(q.pop_tied(0), None);
-        assert_eq!(q.events_fired(), 5);
-    }
-
-    #[test]
-    fn events_fired_counts() {
-        let mut q = EventQueue::new();
-        for i in 0..4 {
-            q.schedule(SimTime::from_secs(i), i).unwrap();
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.events_fired(), 4);
     }
 }
