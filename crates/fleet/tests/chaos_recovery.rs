@@ -171,6 +171,20 @@ fn disrupted_sweeps_are_byte_identical_across_thread_counts() {
             start_secs: 10.0,
             max_events: 8,
         }),
+        // No grace: the revocation wounds FlexPipe's serving instance
+        // while decode micro-batches are in flight, and FlexPipe rebuilds
+        // it inflight, so every decode launch after the rebuild checks
+        // that the wound emptied the instance's decode-slot count.
+        DisruptionShape::Script(DisruptionScript {
+            name: "hard-preempt".into(),
+            events: vec![DisruptionEvent {
+                at_secs: 15.0,
+                kind: Disruption::HotServerPreempt {
+                    rank: 0,
+                    grace_secs: 0.0,
+                },
+            }],
+        }),
     ];
     let quiet = |threads| RunOptions {
         threads,
@@ -194,6 +208,26 @@ fn disrupted_sweeps_are_byte_identical_across_thread_counts() {
     assert!(
         report.cells.iter().any(|c| c.metrics.revocations > 0),
         "no revocation executed anywhere in the disrupted grid"
+    );
+    // The hard preemption cost FlexPipe in-flight work that had already
+    // decoded tokens (more tokens lost than the replayed prompts hold),
+    // and FlexPipe recovered by refactoring.
+    let hard = report
+        .cells
+        .iter()
+        .find(|c| c.cell.id().ends_with("FlexPipe-s-hard-preempt"))
+        .expect("hard-preempt FlexPipe cell in the grid");
+    assert_eq!(hard.metrics.revocations, 1);
+    assert!(hard.metrics.requests_replayed > 0, "nothing was in flight");
+    assert!(
+        hard.metrics.tokens_lost > 128 * u64::from(hard.metrics.requests_replayed),
+        "no decoded tokens were lost: {} tokens over {} replayed requests",
+        hard.metrics.tokens_lost,
+        hard.metrics.requests_replayed
+    );
+    assert!(
+        hard.metrics.refactors > 0,
+        "FlexPipe did not rebuild inflight"
     );
     // Identical-trace contract: policies sharing a disrupted coordinate
     // report the same revocation count.

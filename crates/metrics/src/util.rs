@@ -6,7 +6,7 @@
 //! GPUs were held at each moment), from which both utilisation and the
 //! "always-on reservation" case-study numbers (§9.6) derive.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -15,8 +15,10 @@ use flexpipe_sim::{SimDuration, SimTime};
 /// Busy-time and allocation ledger.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct UtilizationLedger {
-    /// Total busy seconds per GPU id.
-    busy: HashMap<u32, f64>,
+    /// Total busy seconds per GPU id. Ordered, so the ledger's `Debug`
+    /// output and [`UtilizationLedger::total_busy_secs`] do not depend on
+    /// hash order.
+    busy: BTreeMap<u32, f64>,
     /// Allocation change events: (time, +1/-1).
     alloc_events: Vec<(SimTime, i32)>,
 }
@@ -29,7 +31,14 @@ impl UtilizationLedger {
 
     /// Records `busy` seconds of compute on `gpu`.
     pub fn record_busy(&mut self, gpu: u32, busy: SimDuration) {
-        *self.busy.entry(gpu).or_insert(0.0) += busy.as_secs_f64();
+        self.add_busy_secs(gpu, busy.as_secs_f64());
+    }
+
+    /// Adds `secs` busy seconds to `gpu`. An engine that sums each GPU's
+    /// passes in a dense table of its own hands each total over once, at
+    /// report time; the first addition to a GPU is exact (`0.0 + secs`).
+    pub fn add_busy_secs(&mut self, gpu: u32, secs: f64) {
+        *self.busy.entry(gpu).or_insert(0.0) += secs;
     }
 
     /// Records that one GPU was acquired at `at`.

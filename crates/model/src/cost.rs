@@ -71,15 +71,46 @@ impl Default for CostModel {
     }
 }
 
+/// The per-range terms a pass is priced from: what
+/// [`CostModel::stage_compute`] walks the operator slice for. A stage that
+/// runs many passes over one range computes them once
+/// ([`CostModel::stage_terms`]) and prices each pass with
+/// [`CostModel::pass_compute`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StageTerms {
+    /// FLOPs per processed token over the range.
+    pub flops_per_token: f64,
+    /// Seconds to read the range's parameter bytes from device memory:
+    /// the floor under every pass, whatever its batch.
+    pub weight_read_secs: f64,
+}
+
 impl CostModel {
     /// Compute time for one pass of `tokens` tokens through stage `r`.
     ///
     /// `tokens` is the number of *processed* tokens in the pass: prompt
     /// length × batch for prefill, batch size for one decode iteration.
     pub fn stage_compute(&self, g: &ModelGraph, r: OpRange, tokens: u64) -> SimDuration {
-        let flops_secs = g.range_flops_per_token(r) * tokens as f64 / self.eff_flops;
-        let weight_read_secs = g.range_param_bytes(r) as f64 / self.hbm_bandwidth;
-        self.stage_overhead + SimDuration::from_secs_f64(flops_secs.max(weight_read_secs))
+        self.pass_compute(self.stage_terms(g, r), tokens)
+    }
+
+    /// The per-range terms behind [`CostModel::stage_compute`]: the FLOPs
+    /// and parameter bytes summed in operator order, and the weight-read
+    /// time of those bytes.
+    pub fn stage_terms(&self, g: &ModelGraph, r: OpRange) -> StageTerms {
+        StageTerms {
+            flops_per_token: g.range_flops_per_token(r),
+            weight_read_secs: g.range_param_bytes(r) as f64 / self.hbm_bandwidth,
+        }
+    }
+
+    /// Compute time for one pass of `tokens` tokens through a stage with
+    /// the given terms: bit-identical to [`CostModel::stage_compute`] over
+    /// the range the terms were computed from.
+    #[inline]
+    pub fn pass_compute(&self, terms: StageTerms, tokens: u64) -> SimDuration {
+        let flops_secs = terms.flops_per_token * tokens as f64 / self.eff_flops;
+        self.stage_overhead + SimDuration::from_secs_f64(flops_secs.max(terms.weight_read_secs))
     }
 
     /// Parameter bytes a stage must hold in device memory.

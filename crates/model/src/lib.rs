@@ -25,7 +25,7 @@ pub mod partitioning_helpers;
 pub mod zoo;
 
 pub use batch::BatchScaling;
-pub use cost::{CostModel, MaxBatchTable};
+pub use cost::{CostModel, MaxBatchTable, StageTerms};
 pub use graph::{ModelConfig, ModelGraph, OpRange};
 pub use ops::{BlockId, OpId, OpKind, Operator};
 pub use partitioning_helpers::{boundaries_of, even_layer_ranges, validate_partition};

@@ -177,7 +177,7 @@ impl EngineState {
                     self.ledger.record_release(now);
                 }
             }
-            let Some(inst) = self.instances.get_mut(&id) else {
+            let Some(inst) = self.instances.get_mut(id) else {
                 continue;
             };
             if inst.stages.iter().any(|s| revoked.contains(&s.gpu)) {
@@ -211,9 +211,9 @@ impl EngineState {
         // Wound every instance with a stage on a revoked device.
         let wounded: Vec<InstanceId> = self
             .instances
-            .iter()
-            .filter(|(_, i)| i.stages.iter().any(|s| revoked.contains(&s.gpu)))
-            .map(|(&id, _)| id)
+            .values()
+            .filter(|i| i.stages.iter().any(|s| revoked.contains(&s.gpu)))
+            .map(|i| i.id)
             .collect();
         let mut crippled = Vec::new();
         for id in wounded {
@@ -227,7 +227,7 @@ impl EngineState {
                     }
                 }
             }
-            let inst = self.instances.get_mut(&id).expect("listed above");
+            let inst = self.instances.get_mut(id).expect("listed above");
             inst.epoch += 1; // stale StageArrive/StageDone/Prepare/Pause events drop
             let original = inst.stages.len() as u32;
             let prior_state = inst.state;
@@ -295,7 +295,7 @@ impl EngineState {
                     // do not report the instance as crippled (there is
                     // nothing to rebuild around; the policy's scaling loop
                     // re-spawns through its normal path).
-                    let inst = self.instances.remove(&id).expect("listed above");
+                    let inst = self.instances.remove(id).expect("listed above");
                     for s in inst.stages {
                         if revoked.contains(&s.gpu) {
                             continue;
@@ -312,7 +312,7 @@ impl EngineState {
                     // the revocation merely finishes the job. Complete the
                     // retirement (survivors park their parameters) instead
                     // of resurrecting capacity the policy did not want.
-                    let inst = self.instances.get_mut(&id).expect("listed above");
+                    let inst = self.instances.get_mut(id).expect("listed above");
                     inst.stages.retain(|s| !revoked.contains(&s.gpu));
                     self.release_instance(now, id);
                 }
@@ -320,7 +320,7 @@ impl EngineState {
                     // Dead stages vanish (their leases were invalidated by
                     // the cluster); survivors keep devices and parameters
                     // but clear transient pass state.
-                    let inst = self.instances.get_mut(&id).expect("listed above");
+                    let inst = self.instances.get_mut(id).expect("listed above");
                     let stages = std::mem::take(&mut inst.stages);
                     inst.stages = stages
                         .into_iter()
@@ -334,7 +334,7 @@ impl EngineState {
                         })
                         .collect();
                     inst.state = InstanceState::Crippled;
-                    let surviving = self.instances[&id].stages.len() as u32;
+                    let surviving = inst.stages.len() as u32;
                     crippled.push(CrippledInstance {
                         id,
                         original_stages: original,

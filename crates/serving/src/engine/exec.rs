@@ -24,7 +24,7 @@ use super::{EngineState, Event};
 
 impl EngineState {
     pub(super) fn resume_instance(&mut self, queue: &mut EventQueue<Event>, id: InstanceId) {
-        let Some(inst) = self.instances.get(&id) else {
+        let Some(inst) = self.instances.get(id) else {
             return;
         };
         let epoch = inst.epoch;
@@ -43,7 +43,7 @@ impl EngineState {
         // Iterative (not recursive): a long run of dissolved micro-batches
         // — e.g. after a revocation killed them — must not grow the stack
         // proportionally to the queue length.
-        let Some(inst) = self.instances.get_mut(&id) else {
+        let Some(inst) = self.instances.get_mut(id) else {
             return;
         };
         if inst.epoch != epoch || inst.state == InstanceState::Paused {
@@ -62,14 +62,21 @@ impl EngineState {
                 continue;
             };
             let gpu = inst.stages[s].gpu;
-            let range = inst.stages[s].range;
+            let terms = inst.stages[s].terms;
             let mult = inst.compute_multiplier;
             inst.stages[s].busy = true;
-            let base = self.cost.stage_compute(&self.graph, range, ub.pass_tokens);
+            let base = self.cost.pass_compute(terms, ub.pass_tokens);
+            debug_assert_eq!(
+                base,
+                self.cost
+                    .stage_compute(&self.graph, inst.stages[s].range, ub.pass_tokens),
+                "cached stage terms diverged from the cost model"
+            );
             let slowdown = 1.0 + self.config.interference_coeff * self.cluster.load(gpu).bg_sm;
             let dur = base.mul_f64(slowdown * mult);
-            ub.pass_compute_secs += dur.as_secs_f64();
-            self.ledger.record_busy(gpu.0, dur);
+            let secs = dur.as_secs_f64();
+            ub.pass_compute_secs += secs;
+            *self.gpu_busy[gpu.0 as usize].get_or_insert(0.0) += secs;
             queue
                 .schedule_after(
                     dur,
@@ -93,7 +100,7 @@ impl EngineState {
         stage: u16,
         ub: UbatchId,
     ) {
-        let Some(inst) = self.instances.get_mut(&id) else {
+        let Some(inst) = self.instances.get_mut(id) else {
             return;
         };
         if inst.epoch != epoch {
@@ -127,7 +134,7 @@ impl EngineState {
         ub_id: UbatchId,
     ) {
         let now = queue.now();
-        let Some(inst) = self.instances.get_mut(&id) else {
+        let Some(inst) = self.instances.get_mut(id) else {
             return;
         };
         if inst.epoch != epoch {
@@ -142,11 +149,8 @@ impl EngineState {
             let src = inst.stages[s].gpu;
             let dst = inst.stages[s + 1].gpu;
             let boundary = OpId(inst.stages[s].range.end - 1);
-            let tokens = self
-                .ubatches
-                .get(&ub_id)
-                .map(|u| u.pass_tokens)
-                .unwrap_or(0);
+            let mut ub = self.ubatches.get_mut(&ub_id);
+            let tokens = ub.as_ref().map_or(0, |u| u.pass_tokens);
             let bytes = match self.config.batch_scaling {
                 // Eq. (3): profiled bytes at b_base, scaled sub-linearly to
                 // the actual pass batch.
@@ -166,7 +170,7 @@ impl EngineState {
                 Endpoint::Gpu(dst),
                 bytes,
             );
-            if let Some(ub) = self.ubatches.get_mut(&ub_id) {
+            if let Some(ub) = ub.as_mut() {
                 ub.pass_comm_secs += hop.as_secs_f64();
             }
             queue
@@ -266,7 +270,7 @@ impl EngineState {
 
         // The micro-batch always dissolves; members regroup at launch.
         let _ = epoch;
-        if let Some(inst) = self.instances.get_mut(&id) {
+        if let Some(inst) = self.instances.get_mut(id) {
             inst.ubatches.retain(|&u| u != ub_id);
             if ub.phase == Phase::Decode {
                 inst.decode_slots.dissolved();
@@ -281,7 +285,7 @@ impl EngineState {
         // may now release.
         let release = self
             .instances
-            .get(&id)
+            .get(id)
             .map(|i| i.state == InstanceState::Draining && i.active_requests == 0)
             .unwrap_or(false);
         if release {
@@ -308,7 +312,7 @@ impl EngineState {
     /// builds recount the list and compare on every launch decision.
     pub(super) fn launch_decode(&mut self, queue: &mut EventQueue<Event>, id: InstanceId) {
         loop {
-            let Some(inst) = self.instances.get_mut(&id) else {
+            let Some(inst) = self.instances.get_mut(id) else {
                 return;
             };
             if inst.state == InstanceState::Paused {
@@ -349,7 +353,7 @@ impl EngineState {
                 self.next_ubatch += 1;
                 UbatchId(self.next_ubatch)
             };
-            let inst = self.instances.get_mut(&id).expect("checked above");
+            let inst = self.instances.get_mut(id).expect("checked above");
             inst.ubatches.push(ub_id);
             inst.decode_slots.launched();
             // Membership changed but the admission key did not.
@@ -421,7 +425,7 @@ impl EngineState {
                 generated,
             },
         );
-        if let Some(inst) = self.instances.get_mut(&inst_id) {
+        if let Some(inst) = self.instances.get_mut(inst_id) {
             inst.active_requests = inst.active_requests.saturating_sub(1);
             self.reindex(inst_id);
         }
@@ -451,7 +455,7 @@ impl EngineState {
             self.gateway.pop_front();
             let r = &mut self.reqs[rid.0 as usize];
             r.admitted = Some(now);
-            let inst = self.instances.get_mut(&target).expect("selected above");
+            let inst = self.instances.get_mut(target).expect("selected above");
             inst.active_requests += 1;
             self.obs.record(
                 now,
@@ -466,7 +470,7 @@ impl EngineState {
         // Launch prefill micro-batches per instance, respecting the
         // prefill batch/token caps.
         for (inst_id, rids) in formed {
-            let epoch = match self.instances.get(&inst_id) {
+            let epoch = match self.instances.get(inst_id) {
                 Some(i) => i.epoch,
                 None => continue,
             };
@@ -496,7 +500,7 @@ impl EngineState {
                         pass_comm_secs: 0.0,
                     },
                 );
-                if let Some(inst) = state.instances.get_mut(&inst_id) {
+                if let Some(inst) = state.instances.get_mut(inst_id) {
                     inst.ubatches.push(ub_id);
                 }
                 queue.schedule_now(Event::StageArrive {

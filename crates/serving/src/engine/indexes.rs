@@ -10,8 +10,9 @@
 //! | [`DecodeSlotTracker`] | O(micro-batches) decode recount | `launch_decode` |
 //! | [`flexpipe_cluster::ServerLoadIndex`] | O(servers × GPUs) rebuild+sort | `hottest_server` |
 //! | [`flexpipe_model::MaxBatchTable`] | O(range) operator-slice walks | spawn / refactor sizing |
+//! | [`crate::instance::StageRuntime::terms`] | O(range) operator sums per pass | `try_start_stage` |
 //!
-//! All four are the engine's only path. The naive computation each one
+//! All five are the engine's only path. The naive computation each one
 //! replaced survives only as a reference: debug-build validators compare
 //! against it at every consultation (the test profile keeps debug
 //! assertions on, so every test run checks every decision), and release

@@ -81,7 +81,7 @@ impl EngineState {
     /// Per-stage (range, gpu) placement of an instance.
     pub fn stage_placement(&self, id: InstanceId) -> Option<Vec<(OpRange, GpuId)>> {
         self.instances
-            .get(&id)
+            .get(id)
             .map(|i| i.stages.iter().map(|s| (s.range, s.gpu)).collect())
     }
 
@@ -232,6 +232,7 @@ impl EngineState {
             }
             stage_runtimes.push(StageRuntime {
                 range: r,
+                terms: self.cost.stage_terms(&self.graph, r),
                 gpu: g,
                 lease,
                 busy: false,
@@ -242,24 +243,21 @@ impl EngineState {
         }
 
         let id = self.new_instance_id();
-        self.instances.insert(
+        self.instances.insert(Instance {
             id,
-            Instance {
-                id,
-                stages: stage_runtimes,
-                state: InstanceState::Loading,
-                batch_cap,
-                active_requests: 0,
-                ubatches: Vec::new(),
-                decode_ready: VecDeque::new(),
-                decode_slots: DecodeSlotTracker::new(),
-                admit_hold: false,
-                compute_multiplier: 1.0,
-                spawned_at: now,
-                ready_at: None,
-                epoch: 0,
-            },
-        );
+            stages: stage_runtimes,
+            state: InstanceState::Loading,
+            batch_cap,
+            active_requests: 0,
+            ubatches: Vec::new(),
+            decode_ready: VecDeque::new(),
+            decode_slots: DecodeSlotTracker::new(),
+            admit_hold: false,
+            compute_multiplier: 1.0,
+            spawned_at: now,
+            ready_at: None,
+            epoch: 0,
+        });
         self.reindex(id);
         self.spawns += 1;
         self.obs.record(
@@ -282,7 +280,7 @@ impl EngineState {
 
     /// Marks an instance draining; it is released once empty.
     pub fn retire(&mut self, queue: &mut EventQueue<Event>, id: InstanceId) {
-        let Some(inst) = self.instances.get_mut(&id) else {
+        let Some(inst) = self.instances.get_mut(id) else {
             return;
         };
         if matches!(inst.state, InstanceState::Draining) {
@@ -299,7 +297,7 @@ impl EngineState {
     }
 
     pub(super) fn release_instance(&mut self, now: SimTime, id: InstanceId) {
-        let Some(inst) = self.instances.remove(&id) else {
+        let Some(inst) = self.instances.remove(id) else {
             return;
         };
         self.obs
@@ -372,10 +370,7 @@ impl EngineState {
         plan: RefactorPlan,
     ) -> Result<(), ActionError> {
         let now = queue.now();
-        let inst = self
-            .instances
-            .get(&id)
-            .ok_or(ActionError::BadInstance(id))?;
+        let inst = self.instances.get(id).ok_or(ActionError::BadInstance(id))?;
         // Crippled instances refactor too: that is the inflight recovery
         // path — surviving stages are reused, dead ones land on fresh
         // devices, and no cold respawn happens.
@@ -431,7 +426,7 @@ impl EngineState {
                 from_crippled,
             },
         );
-        let inst = self.instances.get_mut(&id).expect("checked above");
+        let inst = self.instances.get_mut(id).expect("checked above");
         inst.state = InstanceState::Preparing;
         if from_crippled {
             // A normal refactor keeps serving on the complete old topology
@@ -462,7 +457,7 @@ impl EngineState {
         id: InstanceId,
         epoch: u64,
     ) {
-        let Some(inst) = self.instances.get_mut(&id) else {
+        let Some(inst) = self.instances.get_mut(id) else {
             return;
         };
         if inst.epoch != epoch || inst.state != InstanceState::Preparing {
@@ -493,7 +488,7 @@ impl EngineState {
         let Some(pending) = self.pending_refactors.remove(&id) else {
             return;
         };
-        let Some(inst) = self.instances.get(&id) else {
+        let Some(inst) = self.instances.get(id) else {
             return;
         };
         if inst.epoch != epoch || inst.state != InstanceState::Paused {
@@ -564,7 +559,7 @@ impl EngineState {
                 // and its GPUs — in Crippled forever.
                 self.release_instance(now, id);
             } else {
-                let inst = self.instances.get_mut(&id).expect("present");
+                let inst = self.instances.get_mut(id).expect("present");
                 inst.state = InstanceState::Serving;
                 self.reindex(id);
                 self.resume_instance(queue, id);
@@ -599,6 +594,7 @@ impl EngineState {
                 .expect("fit checked via batch_cap computation");
             new_stages.push(StageRuntime {
                 range: r,
+                terms: self.cost.stage_terms(&self.graph, r),
                 gpu,
                 lease,
                 busy: false,
@@ -608,7 +604,7 @@ impl EngineState {
             });
         }
 
-        let inst = self.instances.get_mut(&id).expect("present");
+        let inst = self.instances.get_mut(id).expect("present");
         inst.stages = new_stages;
         inst.batch_cap = batch_cap;
         inst.state = InstanceState::Serving;

@@ -21,6 +21,8 @@
 //!   continuous-batching decode dispatch and gateway admission;
 //! - `disruption` — capacity revocation, rescue accounting, restores
 //!   and recovery-window tracking;
+//! - `tables` — the id-keyed stores the per-event paths look up: the
+//!   dense instance table and the micro-batch map;
 //! - [`indexes`] — the incrementally maintained hot-path structures
 //!   ([`indexes::DecodeSlotTracker`] here; the admission index lives in
 //!   [`crate::admission`], the server-load ranking in the cluster crate,
@@ -38,6 +40,7 @@ mod exec;
 pub mod indexes;
 mod lifecycle;
 mod stepped;
+mod tables;
 
 pub use stepped::SteppedEngine;
 
@@ -58,11 +61,11 @@ use flexpipe_workload::{CvEstimator, Request, RequestId, Workload};
 
 use crate::admission::AdmissionIndex;
 use crate::config::EngineConfig;
-use crate::instance::{
-    Instance, InstanceId, InstanceSnapshot, InstanceState, MicroBatch, UbatchId,
-};
+use crate::instance::{Instance, InstanceId, InstanceSnapshot, InstanceState, UbatchId};
 use crate::policy::{ActionError, ControlPolicy, Placement, RefactorPlan};
 use crate::report::RunReport;
+
+use tables::{InstanceTable, UbatchMap};
 
 /// Events routed through the simulation queue.
 #[derive(Debug, Clone)]
@@ -225,7 +228,8 @@ pub struct EngineState {
     pub(super) workload: Arc<Vec<Request>>,
     pub(super) gateway: VecDeque<RequestId>,
     pub(super) reqs: Vec<ReqRuntime>,
-    pub(super) instances: BTreeMap<InstanceId, Instance>,
+    /// Live instances by id, iterated in ascending id order.
+    pub(super) instances: InstanceTable,
     /// Incrementally maintained index over admissible instances (the
     /// high-rate fast path). Every mutation of an instance's state,
     /// capacity, live-request count or admit hold re-keys it via
@@ -237,7 +241,7 @@ pub struct EngineState {
     /// sums instead of re-walking the operator slice. Bit-identical to the
     /// uncached cost model (asserted in debug builds on every hit).
     pub(super) max_batch_memo: MaxBatchTable,
-    pub(super) ubatches: HashMap<UbatchId, MicroBatch>,
+    pub(super) ubatches: UbatchMap,
     /// Instances whose snapshot-visible state changed since the control
     /// plane last looked. Every mutation site feeds it (via
     /// [`EngineState::reindex`] or [`EngineState::mark_policy_dirty`]);
@@ -257,6 +261,9 @@ pub struct EngineState {
     pub(super) disruptions: DisruptionLedger,
     pub(super) outcomes: OutcomeLog,
     pub(super) ledger: UtilizationLedger,
+    /// Busy seconds per GPU id (`None`: the GPU never ran a pass), summed
+    /// pass by pass and handed to the ledger at report time.
+    pub(super) gpu_busy: Vec<Option<f64>>,
     pub(super) queue_timeline: Timeline,
     pub(super) inflight_timeline: Timeline,
     pub(super) cv_est: CvEstimator,
@@ -310,7 +317,7 @@ impl EngineState {
     /// mutation that can change `Instance::admit_key` — state changes,
     /// `active_requests`, `batch_cap`, `admit_hold`, removal.
     pub(super) fn reindex(&mut self, id: InstanceId) {
-        let key = self.instances.get(&id).and_then(Instance::admit_key);
+        let key = self.instances.get(id).and_then(Instance::admit_key);
         self.admission.apply(id, key);
         self.policy_dirty.insert(id);
     }
@@ -381,14 +388,14 @@ impl EngineState {
 
     /// Sets an instance's compute multiplier (multiplexing interference).
     pub fn set_compute_multiplier(&mut self, id: InstanceId, mult: f64) {
-        if let Some(inst) = self.instances.get_mut(&id) {
+        if let Some(inst) = self.instances.get_mut(id) {
             inst.compute_multiplier = mult.max(1.0);
         }
     }
 
     /// Holds or releases admissions to an instance (drain-to-consolidate).
     pub fn set_admit_hold(&mut self, id: InstanceId, hold: bool) {
-        if let Some(inst) = self.instances.get_mut(&id) {
+        if let Some(inst) = self.instances.get_mut(id) {
             inst.admit_hold = hold;
             self.reindex(id);
         }
@@ -447,7 +454,7 @@ impl<'a> Ctx<'a> {
     pub fn take_dirty(&mut self) -> Vec<(InstanceId, Option<InstanceSnapshot>)> {
         let ids = std::mem::take(&mut self.state.policy_dirty);
         ids.into_iter()
-            .map(|id| (id, self.state.instances.get(&id).map(|i| i.snapshot())))
+            .map(|id| (id, self.state.instances.get(id).map(|i| i.snapshot())))
             .collect()
     }
 
@@ -541,6 +548,7 @@ impl Engine {
     ) -> Self {
         let rng = SimRng::seed(scenario.seed);
         let mut cluster = Cluster::new(scenario.cluster.clone());
+        let gpu_count = cluster.topology().gpu_count();
         let mut bg = BackgroundTenants::new(scenario.background, rng.stream_named("background"));
         bg.populate(&mut cluster);
         let transfer = TransferEngine::new(scenario.cluster.links);
@@ -571,10 +579,10 @@ impl Engine {
             workload: Arc::new(scenario.workload.requests),
             gateway: VecDeque::new(),
             reqs,
-            instances: BTreeMap::new(),
+            instances: InstanceTable::default(),
             admission: AdmissionIndex::new(),
             max_batch_memo: scenario.cost.max_batch_table(),
-            ubatches: HashMap::new(),
+            ubatches: UbatchMap::default(),
             policy_dirty: std::collections::BTreeSet::new(),
             pending_refactors: HashMap::new(),
             host_cache: HashMap::new(),
@@ -587,6 +595,7 @@ impl Engine {
             disruptions: DisruptionLedger::new(),
             outcomes: OutcomeLog::new(),
             ledger: UtilizationLedger::new(),
+            gpu_busy: vec![None; gpu_count],
             queue_timeline: Timeline::new(),
             inflight_timeline: Timeline::new(),
             cv_est: CvEstimator::new(scenario.config.monitor_window),
@@ -641,6 +650,11 @@ impl Engine {
     /// Folds a finished run of `events` events into its report.
     fn into_report(self, events: u64, truncated: bool) -> RunReport {
         let mut st = self.state;
+        for (gpu, secs) in st.gpu_busy.iter().enumerate() {
+            if let Some(secs) = *secs {
+                st.ledger.add_busy_secs(gpu as u32, secs);
+            }
+        }
         let horizon = st.horizon;
         st.disruptions.finalize(horizon);
         let span = horizon.as_secs_f64();
@@ -745,7 +759,7 @@ impl Engine {
             }
             Event::InstanceReady { id, epoch } => {
                 let ready = {
-                    let Some(inst) = self.state.instances.get_mut(&id) else {
+                    let Some(inst) = self.state.instances.get_mut(id) else {
                         return;
                     };
                     if inst.epoch != epoch || inst.state != InstanceState::Loading {

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use serde::{Deserialize, Serialize};
 
 use flexpipe_cluster::{GpuId, LeaseId};
-use flexpipe_model::OpRange;
+use flexpipe_model::{OpRange, StageTerms};
 use flexpipe_sim::SimTime;
 use flexpipe_workload::RequestId;
 
@@ -70,6 +70,9 @@ pub struct MicroBatch {
 pub struct StageRuntime {
     /// Operator range this stage executes.
     pub range: OpRange,
+    /// The range's cost terms, summed once when the stage is built: every
+    /// pass is priced from them instead of re-walking the operator slice.
+    pub terms: StageTerms,
     /// Hosting GPU.
     pub gpu: GpuId,
     /// Device-memory lease backing parameters + KV budget.

@@ -315,6 +315,33 @@ fn runs_are_deterministic() {
     assert_ne!(a.events, c.events);
 }
 
+/// Two identical runs print identically: nothing in the report, the
+/// per-GPU busy ledger included, depends on hash order, and neither does
+/// the utilisation summed from it.
+#[test]
+fn identical_runs_debug_format_identically() {
+    let (graph, lattice) = llama_artifacts();
+    let run = || {
+        Engine::new(
+            scenario(2.0, 4.0, 45.0, 7),
+            graph.clone(),
+            lattice.clone(),
+            Box::new(StaticPolicy {
+                stages: 4,
+                replicas: 2,
+            }),
+        )
+        .run()
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.ledger.gpus_used(), 8, "every stage ran a pass");
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert_eq!(
+        a.ledger.total_busy_secs().to_bits(),
+        b.ledger.total_busy_secs().to_bits()
+    );
+}
+
 #[test]
 fn overload_builds_queue_and_violates_slo() {
     let (graph, lattice) = llama_artifacts();

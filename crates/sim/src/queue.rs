@@ -3,40 +3,52 @@
 //! Events are ordered by `(time, sequence)` where the sequence number is the
 //! insertion order; ties in time therefore fire in the order they were
 //! scheduled, which makes whole-simulation replay bit-for-bit deterministic.
+//!
+//! The heap orders small fixed-size keys — `(time, sequence, slot)`, 24
+//! bytes — while the events themselves sit in a slab whose slots are
+//! reused as events fire. A push or pop moves keys, never events, and the
+//! slab never holds more slots than the peak number of pending events.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// An event together with its firing time and deterministic tie-breaker.
-#[derive(Debug, Clone)]
-struct Scheduled<E> {
+/// A pending event's heap key: its firing time, its deterministic
+/// tie-breaker and the slab slot holding the event itself. Keys order by
+/// `(at, seq)`; `seq` is unique, so the slot never decides an order.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     at: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl Key {
+    /// `(at, seq)` as one integer: comparing two keys is one 128-bit
+    /// comparison, which compiles without branches.
+    fn order(&self) -> u128 {
+        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
-impl<E> Eq for Scheduled<E> {}
 
-impl<E> PartialOrd for Scheduled<E> {
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.order() == other.order()
+    }
+}
+impl Eq for Key {}
+
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap but we need earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.order().cmp(&self.order())
     }
 }
 
@@ -78,7 +90,12 @@ impl std::error::Error for ScheduleInPast {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: BinaryHeap<Key>,
+    /// Event storage: `Some` for every slot a pending key names, `None`
+    /// for the slots listed in `free`.
+    slab: Vec<Option<E>>,
+    /// Vacant slab slots, reused last-freed first.
+    free: Vec<u32>,
     now: SimTime,
     next_seq: u64,
 }
@@ -94,6 +111,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             now: SimTime::ZERO,
             next_seq: 0,
         }
@@ -127,7 +146,18 @@ impl<E> EventQueue<E> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("pending events fit a u32 slot");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        self.heap.push(Key { at, seq, slot });
         Ok(())
     }
 
@@ -144,15 +174,32 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        self.heap.peek().map(|k| k.at)
     }
 
     /// Pops the next event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let scheduled = self.heap.pop()?;
-        debug_assert!(scheduled.at >= self.now, "event queue time went backwards");
-        self.now = scheduled.at;
-        Some((scheduled.at, scheduled.event))
+        let key = self.heap.pop()?;
+        Some(self.fire(key))
+    }
+
+    /// Takes `key`'s event out of the slab, frees its slot and advances the
+    /// clock to its firing time.
+    fn fire(&mut self, key: Key) -> (SimTime, E) {
+        debug_assert!(key.at >= self.now, "event queue time went backwards");
+        let event = self.slab[key.slot as usize]
+            .take()
+            .expect("a pending key names an occupied slot");
+        self.free.push(key.slot);
+        self.now = key.at;
+        (key.at, event)
+    }
+
+    /// The event stored in `key`'s slot.
+    fn event(&self, key: &Key) -> &E {
+        self.slab[key.slot as usize]
+            .as_ref()
+            .expect("a pending key names an occupied slot")
     }
 
     /// The events tied at the earliest firing time, in deterministic
@@ -166,9 +213,9 @@ impl<E> EventQueue<E> {
         let Some(t) = self.peek_time() else {
             return Vec::new();
         };
-        let mut tied: Vec<&Scheduled<E>> = self.heap.iter().filter(|s| s.at == t).collect();
-        tied.sort_by_key(|s| s.seq);
-        tied.into_iter().map(|s| &s.event).collect()
+        let mut tied: Vec<&Key> = self.heap.iter().filter(|k| k.at == t).collect();
+        tied.sort_by_key(|k| k.seq);
+        tied.into_iter().map(|k| self.event(k)).collect()
     }
 
     /// Pops the `index`-th event (insertion order) of the front same-time
@@ -187,7 +234,7 @@ impl<E> EventQueue<E> {
         }
         let t = self.peek_time()?;
         let mut batch = Vec::new();
-        while self.heap.peek().is_some_and(|s| s.at == t) {
+        while self.heap.peek().is_some_and(|k| k.at == t) {
             batch.push(self.heap.pop().expect("peeked"));
         }
         if index >= batch.len() {
@@ -196,15 +243,14 @@ impl<E> EventQueue<E> {
         }
         let chosen = batch.swap_remove(index);
         self.heap.extend(batch);
-        debug_assert!(chosen.at >= self.now, "event queue time went backwards");
-        self.now = chosen.at;
-        Some((chosen.at, chosen.event))
+        Some(self.fire(chosen))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -313,5 +359,101 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_tied(0), Some((SimTime::from_secs(2), 99)));
         assert_eq!(q.pop_tied(0), None);
+    }
+
+    /// The naive reference the queue is held to: every pending event in a
+    /// vector kept sorted by `(time, seq)`.
+    #[derive(Default)]
+    struct SortedModel {
+        now: u64,
+        next_seq: u64,
+        pending: Vec<(u64, u64, u32)>,
+    }
+
+    impl SortedModel {
+        fn schedule(&mut self, at: u64, event: u32) {
+            self.pending.push((at, self.next_seq, event));
+            self.next_seq += 1;
+            self.pending.sort_unstable();
+        }
+
+        fn front_batch(&self) -> Vec<u32> {
+            let Some(&(t, _, _)) = self.pending.first() else {
+                return Vec::new();
+            };
+            self.pending
+                .iter()
+                .take_while(|&&(at, _, _)| at == t)
+                .map(|&(_, _, e)| e)
+                .collect()
+        }
+
+        fn pop_tied(&mut self, index: usize) -> Option<(u64, u32)> {
+            if index >= self.front_batch().len() {
+                return None;
+            }
+            let (at, _, event) = self.pending.remove(index);
+            self.now = at;
+            Some((at, event))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random interleavings of every queue operation, with delays of
+        /// 0–3 ns so that most events tie: the queue returns exactly the
+        /// reference model's events, times and lengths, and its slab never
+        /// grows past the peak number of pending events.
+        #[test]
+        fn queue_matches_the_sorted_reference(
+            ops in prop::collection::vec((0u32..5, 0u64..4, 0usize..6), 1..400)
+        ) {
+            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut model = SortedModel::default();
+            let mut next_event = 0u32;
+            let mut peak = 0usize;
+            for (op, delay, index) in ops {
+                match op {
+                    0 => {
+                        let at = model.now + delay;
+                        q.schedule(SimTime::from_nanos(at), next_event).unwrap();
+                        model.schedule(at, next_event);
+                        next_event += 1;
+                    }
+                    1 => {
+                        q.schedule_now(next_event);
+                        model.schedule(model.now, next_event);
+                        next_event += 1;
+                    }
+                    2 => {
+                        let got = q.pop().map(|(t, e)| (t.as_nanos(), e));
+                        prop_assert_eq!(got, model.pop_tied(0));
+                    }
+                    3 => {
+                        let got = q.pop_tied(index).map(|(t, e)| (t.as_nanos(), e));
+                        prop_assert_eq!(got, model.pop_tied(index));
+                    }
+                    _ => {
+                        let got: Vec<u32> = q.front_batch().into_iter().copied().collect();
+                        prop_assert_eq!(got, model.front_batch());
+                    }
+                }
+                prop_assert_eq!(q.len(), model.pending.len());
+                prop_assert_eq!(q.now().as_nanos(), model.now);
+                peak = peak.max(q.len());
+                prop_assert!(
+                    q.slab.len() <= peak,
+                    "slab holds {} slots, peak pending {}",
+                    q.slab.len(),
+                    peak
+                );
+            }
+            // Draining both gives the same tail.
+            while let Some((t, e)) = q.pop() {
+                prop_assert_eq!(Some((t.as_nanos(), e)), model.pop_tied(0));
+            }
+            prop_assert!(model.pending.is_empty());
+        }
     }
 }

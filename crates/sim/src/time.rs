@@ -18,6 +18,28 @@ pub const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Number of nanoseconds in one microsecond.
 pub const NANOS_PER_MICRO: u64 = 1_000;
 
+/// `x.round() as u64`, bit for bit, for any `x` (NaN gives 0, values past
+/// `u64::MAX` saturate). Every pass duration the engine prices goes
+/// through here, and on targets without a rounding instruction
+/// `f64::round` is a software routine, as are conversions between f64 and
+/// u64.
+///
+/// On `[0, 2^63)` the conversions go through i64, which are single
+/// instructions: `x as i64` truncates, and the fraction `x - trunc(x)` is
+/// exact in f64, so comparing it with 0.5 rounds half away from zero
+/// exactly as `round` does. Everything else (negative, huge, non-finite)
+/// takes `round` itself.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    if (0.0..9_223_372_036_854_775_808.0).contains(&x) {
+        let whole = x as i64;
+        let up = x - whole as f64 >= 0.5;
+        (whole + i64::from(up)) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 /// An instant in simulated time, in nanoseconds since simulation start.
 ///
 /// # Examples
@@ -60,11 +82,12 @@ impl SimTime {
     ///
     /// Negative inputs clamp to [`SimTime::ZERO`]; this keeps workload
     /// generators that jitter timestamps from panicking near the origin.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs <= 0.0 {
             SimTime(0)
         } else {
-            SimTime((secs * NANOS_PER_SEC as f64).round() as u64)
+            SimTime(round_to_u64(secs * NANOS_PER_SEC as f64))
         }
     }
 
@@ -74,6 +97,7 @@ impl SimTime {
     }
 
     /// Fractional seconds since simulation start.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
@@ -122,11 +146,12 @@ impl SimDuration {
     }
 
     /// Creates a span from fractional seconds, clamping negatives to zero.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs <= 0.0 {
             SimDuration(0)
         } else {
-            SimDuration((secs * NANOS_PER_SEC as f64).round() as u64)
+            SimDuration(round_to_u64(secs * NANOS_PER_SEC as f64))
         }
     }
 
@@ -141,6 +166,7 @@ impl SimDuration {
     }
 
     /// Fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
@@ -165,6 +191,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `factor` is negative or NaN.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(
             factor >= 0.0 && factor.is_finite(),
@@ -174,7 +201,7 @@ impl SimDuration {
         if scaled >= u64::MAX as f64 {
             SimDuration(u64::MAX)
         } else {
-            SimDuration(scaled.round() as u64)
+            SimDuration(round_to_u64(scaled))
         }
     }
 }
@@ -300,6 +327,52 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The truncation-based rounding equals `f64::round` bit for bit: at
+    /// the half-way and just-below-half-way points, at the edges of the
+    /// u64 range, for non-finite and negative inputs, and across random
+    /// bit patterns spanning every exponent.
+    #[test]
+    fn round_to_u64_matches_round() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5,
+            9_007_199_254_740_993.0,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+            1e300,
+            -0.7,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        let mut state = 0x5EED_u64;
+        let random = std::iter::repeat_with(move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            f64::from_bits(state)
+        });
+        // Bit patterns mostly land far outside the nanosecond range, so
+        // also draw uniformly from [0, 1e13) ns (about 2.8 simulated hours).
+        let nanos = random.map(|x| (x.to_bits() >> 11) as f64 / (1u64 << 53) as f64 * 1e13);
+        for x in edges
+            .into_iter()
+            .chain(random.take(200_000))
+            .chain(nanos.take(200_000))
+        {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+            let half = x.floor() + 0.5;
+            assert_eq!(round_to_u64(half), half.round() as u64, "x = {half:e}");
+        }
+    }
 
     #[test]
     fn construction_round_trips() {
