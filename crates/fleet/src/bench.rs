@@ -11,14 +11,11 @@
 //!
 //! Determinism contract: the JSON artifact ([`BenchReport`]) contains
 //! only simulation-derived values and is byte-stable across runs and
-//! thread counts. Wall-clock measurements live in a separate
-//! [`BenchTiming`] vector that feeds the rendered tables and never enters
+//! thread counts. Wall-clock measurements are the executor's
+//! [`CellTiming`] rows, which feed the rendered table and never enter
 //! the artifact. Cell seeds derive from the *rate alone* (not the
 //! tunables), so every configuration at a rate faces byte-identical
 //! traffic.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use flexpipe_bench::PaperSetup;
 use flexpipe_chaos::DisruptionScript;
@@ -29,10 +26,9 @@ use flexpipe_sim::{SimDuration, SimRng, SimTime};
 use flexpipe_workload::{ArrivalSpec, LengthProfile, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
+use crate::campaign::{execute_uncached, CellTiming, LoadedSpec, SpecReport};
 use crate::report::{summarize_cell, CellMetrics};
-use crate::runner::{
-    effective_threads, failed_cell_metrics, parallel_indexed, FleetError, RunOptions,
-};
+use crate::runner::{FleetError, RunOptions};
 use crate::spec::{
     fmt_axis, mix64, validate_run_window, BackgroundShape, ClusterShape, PolicySpec,
 };
@@ -237,7 +233,7 @@ pub struct BenchCellResult {
 }
 
 /// The byte-stable bench artifact: spec + per-cell simulation metrics.
-/// Wall-clock never enters this structure — see [`BenchTiming`].
+/// Wall-clock never enters this structure — see [`BenchReport::table`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
     /// Artifact format version.
@@ -250,16 +246,6 @@ pub struct BenchReport {
 
 /// Current [`BenchReport::version`].
 pub const BENCH_REPORT_VERSION: u32 = 1;
-
-/// Wall-clock measurement of one bench cell, kept outside the artifact
-/// (timing is machine-dependent; the artifact must be byte-stable).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BenchTiming {
-    /// Cell index ([`BenchCell::index`]).
-    pub index: usize,
-    /// Wall-clock seconds the engine run took.
-    pub wall_secs: f64,
-}
 
 impl BenchReport {
     /// The byte-stable JSON artifact.
@@ -284,14 +270,10 @@ impl BenchReport {
 
     /// The per-cell table, joining deterministic metrics with wall-clock
     /// throughput columns (events per wall-second, simulated seconds per
-    /// wall-second).
-    pub fn table(&self, timings: &[BenchTiming]) -> Table {
-        let wall_of = |index: usize| -> Option<f64> {
-            timings
-                .iter()
-                .find(|t| t.index == index)
-                .map(|t| t.wall_secs)
-        };
+    /// wall-second) from `timings`, the executor's rows in cell order
+    /// (empty: `-`). A row's wall time is the whole cell job: workload
+    /// set-up, engine run and summary. It appears on stdout only.
+    pub fn table(&self, timings: &[CellTiming]) -> Table {
         let sim_span = self.spec.warmup_secs + self.spec.horizon_secs;
         let mut t = Table::new(
             &format!("Bench `{}`: engine tunables × rate", self.spec.name),
@@ -311,9 +293,9 @@ impl BenchReport {
                 "status",
             ],
         );
-        for c in &self.cells {
+        for (i, c) in self.cells.iter().enumerate() {
             let m = &c.metrics;
-            let (wall, mev, simx) = match wall_of(c.cell.index) {
+            let (wall, mev, simx) = match timings.get(i).map(|t| t.wall_ms / 1e3) {
                 Some(w) if w > 0.0 => (
                     fmt_f(w, 2),
                     fmt_f(m.events as f64 / w / 1e6, 2),
@@ -348,13 +330,9 @@ impl BenchReport {
     }
 }
 
-/// Executes one bench cell; returns its deterministic metrics and the
-/// wall-clock the engine run took.
-pub fn run_bench_cell(
-    spec: &BenchSpec,
-    cell: &BenchCell,
-    setup: &PaperSetup,
-) -> (CellMetrics, f64) {
+/// Executes one bench cell to its metrics. Deterministic given (spec,
+/// cell).
+pub fn run_bench_cell(spec: &BenchSpec, cell: &BenchCell, setup: &PaperSetup) -> CellMetrics {
     let warmup = spec.warmup_secs;
     let span = warmup + spec.horizon_secs;
     let workload = WorkloadSpec {
@@ -394,15 +372,8 @@ pub fn run_bench_cell(
         seed: cell.seed,
     };
     let policy = spec.policy.build(cell.rate);
-    // Wall-clock brackets the engine run only: workload generation and
-    // metric summarisation would dilute the engine's throughput columns.
-    let started = Instant::now();
     let report = Engine::new(scenario, setup.graph.clone(), setup.lattice.clone(), policy).run();
-    let wall_secs = started.elapsed().as_secs_f64();
-    (
-        summarize_cell(&report, warmup, spec.horizon_secs, offered),
-        wall_secs,
-    )
+    summarize_cell(&report, warmup, spec.horizon_secs, offered)
 }
 
 /// Runs the full bench grid on the worker pool. The report is
@@ -410,16 +381,13 @@ pub fn run_bench_cell(
 pub fn run_bench(
     spec: &BenchSpec,
     opts: &RunOptions,
-) -> Result<(BenchReport, Vec<BenchTiming>), FleetError> {
-    spec.validate().map_err(FleetError)?;
-    let cells = spec.expand();
-    let n = cells.len();
-    let started = Instant::now();
+) -> Result<(BenchReport, Vec<CellTiming>), FleetError> {
+    let entry = LoadedSpec::bench(spec.clone()).map_err(FleetError)?;
     if !opts.quiet {
         eprintln!(
             "bench `{}`: {} cells ({} rates x {} ubatch x {} prefill caps x {} adm batches), model {}",
             spec.name,
-            n,
+            entry.cells(),
             spec.rates.len(),
             spec.ubatch_sizes.len(),
             spec.prefill_token_caps.len(),
@@ -427,58 +395,10 @@ pub fn run_bench(
             spec.model.name(),
         );
     }
-    let setup = PaperSetup::for_model(spec.model);
-    let threads = effective_threads(opts.threads, n);
-    let outcomes = parallel_indexed(n, threads, |i| {
-        let cell = &cells[i];
-        // Panic containment, as in the sweep runner: one pathological
-        // tunable combination reports as FAIL instead of tearing down
-        // the grid.
-        let out = match catch_unwind(AssertUnwindSafe(|| run_bench_cell(spec, cell, &setup))) {
-            Ok(out) => out,
-            Err(_) => {
-                eprintln!("bench cell {} PANICKED; recorded as failed", cell.id());
-                (failed_cell_metrics(), 0.0)
-            }
-        };
-        if !opts.quiet {
-            eprintln!(
-                "bench {} done in {:.1}s ({} events{})",
-                cell.id(),
-                out.1,
-                out.0.events,
-                if out.0.truncated { ", TRUNCATED" } else { "" },
-            );
-        }
-        out
-    });
-
-    let mut results = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (cell, (metrics, wall_secs)) in cells.into_iter().zip(outcomes) {
-        timings.push(BenchTiming {
-            index: cell.index,
-            wall_secs,
-        });
-        results.push(BenchCellResult { cell, metrics });
+    match execute_uncached(entry, opts) {
+        (SpecReport::Bench(report), timings) => Ok((report, timings)),
+        (SpecReport::Sweep(_), _) => unreachable!("a bench entry assembles a bench report"),
     }
-    if !opts.quiet {
-        eprintln!(
-            "bench `{}`: {} cells on {} threads in {:.1}s",
-            spec.name,
-            n,
-            threads,
-            started.elapsed().as_secs_f64()
-        );
-    }
-    Ok((
-        BenchReport {
-            version: BENCH_REPORT_VERSION,
-            spec: spec.clone(),
-            cells: results,
-        },
-        timings,
-    ))
 }
 
 #[cfg(test)]

@@ -154,7 +154,7 @@ pub struct CacheStats {
     /// Live worker claims.
     pub claims: usize,
     /// Of those, claims whose heartbeat is older than the TTL passed to
-    /// [`CellCache::stats_with_ttl`] (likely dead workers; reapable).
+    /// [`CellCache::stats`] (likely dead workers; reapable).
     pub stale_claims: usize,
     /// Total bytes across all entry objects considered.
     pub bytes: u64,
@@ -263,14 +263,9 @@ impl CellCache {
         self.store.reap_stale_claims(ttl)
     }
 
-    /// Walks the cache and aggregates [`CacheStats`], judging claim
-    /// staleness against [`crate::store::DEFAULT_CLAIM_TTL`].
-    pub fn stats(&self) -> io::Result<CacheStats> {
-        self.stats_with_ttl(crate::store::DEFAULT_CLAIM_TTL)
-    }
-
-    /// [`CellCache::stats`] with an explicit staleness TTL for claims.
-    pub fn stats_with_ttl(&self, claim_ttl: Duration) -> io::Result<CacheStats> {
+    /// Walks the cache and aggregates [`CacheStats`], judging a claim
+    /// stale once its heartbeat is `claim_ttl` old.
+    pub fn stats(&self, claim_ttl: Duration) -> io::Result<CacheStats> {
         let salt = cache_salt();
         let mut s = CacheStats::default();
         let mut oldest: Option<u64> = None;
@@ -309,28 +304,12 @@ impl CellCache {
         Ok(s)
     }
 
-    /// Removes every entry older than `max_age`. Live claims are never
-    /// touched (see [`LocalDiskStore::gc`]).
-    pub fn gc(&self, max_age: Duration) -> io::Result<GcOutcome> {
-        self.store.gc(Some(max_age), None)
-    }
-
-    /// LRU size cap: evicts oldest entries first until the cache fits
-    /// under `max_bytes`. The newest entries always survive (unless a
-    /// single entry alone exceeds the cap). Live claims are never
-    /// touched.
-    pub fn gc_max_bytes(&self, max_bytes: u64) -> io::Result<GcOutcome> {
-        self.store.gc(None, Some(max_bytes))
-    }
-
-    /// Combined gc pass: the age bound (if any) applies first, then the
-    /// size cap (if any) evicts oldest-first among the survivors. Ties
-    /// break deterministically. Live claims are never touched.
-    pub fn gc_bounded(
-        &self,
-        max_age: Option<Duration>,
-        max_bytes: Option<u64>,
-    ) -> io::Result<GcOutcome> {
+    /// Bounds the cache: the age bound (if any) removes every entry
+    /// older than `max_age`, then the size cap (if any) evicts the oldest
+    /// survivors until the cache fits under `max_bytes`, so the newest
+    /// entries survive unless one alone exceeds the cap. Ties break
+    /// deterministically. Live claims are never touched.
+    pub fn gc(&self, max_age: Option<Duration>, max_bytes: Option<u64>) -> io::Result<GcOutcome> {
         self.store.gc(max_age, max_bytes)
     }
 }
@@ -358,6 +337,7 @@ pub fn parse_duration(s: &str) -> Result<Duration, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::DEFAULT_CLAIM_TTL;
     use std::path::PathBuf;
     use std::time::SystemTime;
 
@@ -505,7 +485,7 @@ mod tests {
         cache.store("aa11", "sweep", "s", &m).unwrap();
         cache.store("bb22", "bench", "b", &m).unwrap();
         std::fs::write(dir.join("aa").join("junk.txt"), "x").unwrap();
-        let s = cache.stats().unwrap();
+        let s = cache.stats(DEFAULT_CLAIM_TTL).unwrap();
         assert_eq!(s.entries, 2);
         assert_eq!(s.sweep_cells, 1);
         assert_eq!(s.bench_cells, 1);
@@ -513,14 +493,14 @@ mod tests {
         assert_eq!(s.claims, 0);
         assert!(s.bytes > 0);
         // Nothing is older than a day: gc keeps everything.
-        let kept = cache.gc(Duration::from_secs(86_400)).unwrap();
+        let kept = cache.gc(Some(Duration::from_secs(86_400)), None).unwrap();
         assert_eq!(kept.removed, 0);
         assert_eq!(kept.kept, 3);
         // Age 0 removes everything and prunes shards.
-        let swept = cache.gc(Duration::ZERO).unwrap();
+        let swept = cache.gc(Some(Duration::ZERO), None).unwrap();
         assert_eq!(swept.removed, 3);
         assert!(swept.bytes_freed > 0);
-        assert_eq!(cache.stats().unwrap().entries, 0);
+        assert_eq!(cache.stats(DEFAULT_CLAIM_TTL).unwrap().entries, 0);
         assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -532,23 +512,23 @@ mod tests {
             cache.store("aa11", "sweep", "s", &m).unwrap();
             cache.try_claim("bb22", "w1").unwrap();
             cache.try_claim("cc33", "w2").unwrap();
-            let s = cache.stats().unwrap();
+            let s = cache.stats(DEFAULT_CLAIM_TTL).unwrap();
             assert_eq!(s.entries, 1, "claims must not count as entries");
             assert_eq!(s.claims, 2);
             assert_eq!(s.stale_claims, 0, "fresh claims are not stale");
             assert_eq!(s.foreign, 0, "claims must not count as foreign");
             // The most aggressive entry gc possible: every entry goes,
             // every live claim survives.
-            let swept = cache.gc_bounded(Some(Duration::ZERO), Some(0)).unwrap();
+            let swept = cache.gc(Some(Duration::ZERO), Some(0)).unwrap();
             assert_eq!(swept.removed, 1);
-            let s = cache.stats().unwrap();
+            let s = cache.stats(DEFAULT_CLAIM_TTL).unwrap();
             assert_eq!(s.entries, 0);
             assert_eq!(s.claims, 2, "gc must never reap live claims");
             // Zero-TTL stats read them as stale; zero-TTL reap clears.
-            let s = cache.stats_with_ttl(Duration::ZERO).unwrap();
+            let s = cache.stats(Duration::ZERO).unwrap();
             assert_eq!(s.stale_claims, 2);
             assert_eq!(cache.reap_stale_claims(Duration::ZERO).unwrap(), 2);
-            assert_eq!(cache.stats().unwrap().claims, 0);
+            assert_eq!(cache.stats(DEFAULT_CLAIM_TTL).unwrap().claims, 0);
         });
     }
 
@@ -573,7 +553,7 @@ mod tests {
             .len();
         // Cap to roughly two entries: the two oldest go, the two newest
         // stay readable.
-        let out = cache.gc_max_bytes(2 * entry_bytes + 1).unwrap();
+        let out = cache.gc(None, Some(2 * entry_bytes + 1)).unwrap();
         assert_eq!(out.removed, 2);
         assert_eq!(out.kept, 2);
         assert_eq!(out.bytes_freed, 2 * entry_bytes);
@@ -582,11 +562,11 @@ mod tests {
         assert!(cache.load("cc03", u64::MAX).is_some());
         assert!(cache.load("dd04", u64::MAX).is_some());
         // A generous cap is a no-op.
-        let out = cache.gc_max_bytes(u64::MAX).unwrap();
+        let out = cache.gc(None, Some(u64::MAX)).unwrap();
         assert_eq!(out.removed, 0);
         assert_eq!(out.kept, 2);
         // Combined pass: age bound and size cap together clear the rest.
-        let out = cache.gc_bounded(Some(Duration::ZERO), Some(0)).unwrap();
+        let out = cache.gc(Some(Duration::ZERO), Some(0)).unwrap();
         assert_eq!(out.removed, 2);
         assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
         let _ = std::fs::remove_dir_all(&dir);

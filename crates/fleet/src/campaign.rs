@@ -13,10 +13,11 @@
 //! half-way — at any thread count**. That is the property CI's cold/warm
 //! `cmp` steps and the resume integration tests pin down.
 //!
-//! Each entry's artifact is exactly what `fleet run` / `fleet bench`
-//! would have produced for that spec (same bytes), so `fleet gate` and
-//! `fleet compare` keep working on campaign outputs unchanged. The
-//! campaign additionally writes a `campaign.json` manifest recording
+//! One executor runs every cell the fleet computes: `fleet run` and
+//! `fleet bench` hand it their one spec with no cache, so each campaign
+//! entry's artifact is exactly the bytes they write for that spec, and
+//! `fleet gate` and `fleet compare` work on campaign outputs unchanged.
+//! The campaign additionally writes a `campaign.json` manifest recording
 //! every cell's content key under the engine-fingerprint salt.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -136,6 +137,20 @@ pub enum LoadedSpec {
 }
 
 impl LoadedSpec {
+    /// Validates a sweep spec and expands its grid.
+    pub(crate) fn sweep(spec: SweepSpec) -> Result<LoadedSpec, String> {
+        spec.validate()?;
+        let cells = spec.expand();
+        Ok(LoadedSpec::Sweep(spec, cells))
+    }
+
+    /// Validates a bench spec and expands its grid.
+    pub(crate) fn bench(spec: BenchSpec) -> Result<LoadedSpec, String> {
+        spec.validate()?;
+        let cells = spec.expand();
+        Ok(LoadedSpec::Bench(spec, cells))
+    }
+
     /// The spec's own name (artifact file stem).
     pub fn name(&self) -> &str {
         match self {
@@ -158,6 +173,37 @@ impl LoadedSpec {
             LoadedSpec::Bench(s, _) => s.model,
         }
     }
+
+    /// Cell `ci`'s human-readable id.
+    fn cell_id(&self, ci: usize) -> String {
+        match self {
+            LoadedSpec::Sweep(_, cells) => cells[ci].id(),
+            LoadedSpec::Bench(_, cells) => cells[ci].id(),
+        }
+    }
+
+    /// The entry's artifact from its cells' metrics, in expansion order.
+    pub(crate) fn into_report(self, metrics: Vec<CellMetrics>) -> SpecReport {
+        match self {
+            LoadedSpec::Sweep(spec, cells) => {
+                let results = cells
+                    .into_iter()
+                    .zip(metrics)
+                    .map(|(cell, metrics)| CellResult { cell, metrics })
+                    .collect();
+                SpecReport::Sweep(FleetReport::assemble(spec, results))
+            }
+            LoadedSpec::Bench(spec, cells) => SpecReport::Bench(BenchReport {
+                version: BENCH_REPORT_VERSION,
+                spec,
+                cells: cells
+                    .into_iter()
+                    .zip(metrics)
+                    .map(|(cell, metrics)| BenchCellResult { cell, metrics })
+                    .collect(),
+            }),
+        }
+    }
 }
 
 /// Loads, validates and expands every entry of `spec`, resolving paths
@@ -172,21 +218,10 @@ pub fn load_entries(spec: &CampaignSpec, base_dir: &Path) -> Result<Vec<LoadedSp
             .map_err(|err| FleetError(format!("cannot read {}: {err}", path.display())))?;
         let path_str = path.to_string_lossy().to_string();
         let entry = match e.kind {
-            EntryKind::Sweep => {
-                let s = crate::parse_spec(&path_str, &text)?;
-                s.validate()
-                    .map_err(|err| FleetError(format!("{}: {err}", e.path)))?;
-                let cells = s.expand();
-                LoadedSpec::Sweep(s, cells)
-            }
-            EntryKind::Bench => {
-                let s = crate::parse_bench(&path_str, &text)?;
-                s.validate()
-                    .map_err(|err| FleetError(format!("{}: {err}", e.path)))?;
-                let cells = s.expand();
-                LoadedSpec::Bench(s, cells)
-            }
-        };
+            EntryKind::Sweep => LoadedSpec::sweep(crate::parse_spec(&path_str, &text)?),
+            EntryKind::Bench => LoadedSpec::bench(crate::parse_bench(&path_str, &text)?),
+        }
+        .map_err(|err| FleetError(format!("{}: {err}", e.path)))?;
         if !names.insert(entry.name().to_string()) {
             return Err(FleetError(format!(
                 "two campaign entries share the spec name `{}` (their artifacts would collide)",
@@ -232,12 +267,16 @@ pub struct CellJob<'a> {
 }
 
 impl CampaignPlan {
-    /// Loads and expands `spec` into its full plan. Keys are computed
+    /// Loads and expands `spec` into its full plan.
+    pub fn load(spec: &CampaignSpec, base_dir: &Path) -> Result<CampaignPlan, FleetError> {
+        Ok(CampaignPlan::new(load_entries(spec, base_dir)?))
+    }
+
+    /// Plans entries that are already loaded. Keys are computed
     /// unconditionally — the manifest records them even when the cache
     /// is disabled.
-    pub fn load(spec: &CampaignSpec, base_dir: &Path) -> Result<CampaignPlan, FleetError> {
-        let entries = load_entries(spec, base_dir)?;
-        let keys: Vec<Vec<String>> = entries
+    pub(crate) fn new(entries: Vec<LoadedSpec>) -> CampaignPlan {
+        let keys = entries
             .iter()
             .map(|e| match e {
                 LoadedSpec::Sweep(s, cells) => cells
@@ -250,16 +289,16 @@ impl CampaignPlan {
                     .collect(),
             })
             .collect();
-        let jobs: Vec<(usize, usize)> = entries
+        let jobs = entries
             .iter()
             .enumerate()
             .flat_map(|(ei, e)| (0..e.cells()).map(move |ci| (ei, ci)))
             .collect();
-        Ok(CampaignPlan {
+        CampaignPlan {
             entries,
             keys,
             jobs,
-        })
+        }
     }
 
     /// Total cell count across all entries.
@@ -271,14 +310,14 @@ impl CampaignPlan {
     pub fn job(&self, i: usize) -> CellJob<'_> {
         let (ei, ci) = self.jobs[i];
         let entry = &self.entries[ei];
-        let (kind, id, budget) = match entry {
-            LoadedSpec::Sweep(s, cells) => ("sweep", cells[ci].id(), s.max_events),
-            LoadedSpec::Bench(s, cells) => ("bench", cells[ci].id(), s.max_events),
+        let (kind, budget) = match entry {
+            LoadedSpec::Sweep(s, _) => (EntryKind::Sweep, s.max_events),
+            LoadedSpec::Bench(s, _) => (EntryKind::Bench, s.max_events),
         };
         CellJob {
             entry_name: entry.name(),
-            kind,
-            id,
+            kind: kind.label(),
+            id: entry.cell_id(ci),
             budget,
             key: &self.keys[ei][ci],
         }
@@ -309,14 +348,14 @@ impl CampaignPlan {
             .expect("setup prebuilt for every model in the plan");
         match catch_unwind(AssertUnwindSafe(|| match entry {
             LoadedSpec::Sweep(s, cells) => run_cell(s, &cells[ci], setup),
-            LoadedSpec::Bench(s, cells) => run_bench_cell(s, &cells[ci], setup).0,
+            LoadedSpec::Bench(s, cells) => run_bench_cell(s, &cells[ci], setup),
         })) {
             Ok(m) => m,
             Err(_) => {
                 eprintln!(
-                    "campaign cell {}:{} PANICKED; recorded as failed",
+                    "cell {}:{} PANICKED; recorded as failed",
                     entry.name(),
-                    self.job(i).id
+                    entry.cell_id(ci)
                 );
                 failed_cell_metrics()
             }
@@ -542,7 +581,6 @@ pub fn run_campaign(
     base_dir: &Path,
     opts: &CampaignOptions,
 ) -> Result<CampaignResult, FleetError> {
-    let started = Instant::now();
     let plan = CampaignPlan::load(spec, base_dir)?;
     let cache = match &opts.cache_dir {
         Some(dir) => Some(
@@ -551,14 +589,11 @@ pub fn run_campaign(
         ),
         None => None,
     };
-
-    let setups = plan.setups();
-    let n = plan.total_cells();
     if !opts.run.quiet {
         eprintln!(
             "campaign `{}`: {} cells across {} specs{}",
             spec.name,
-            n,
+            plan.total_cells(),
             plan.entries.len(),
             match &cache {
                 Some(c) => format!(", cache at {}", c.dir().display()),
@@ -566,62 +601,95 @@ pub fn run_campaign(
             }
         );
     }
+    let (metrics, stats, timing) = execute(&plan, cache.as_ref(), &opts.run);
+    let (manifest, reports) = assemble_reports(spec, plan, metrics);
+    Ok(CampaignResult {
+        manifest,
+        reports,
+        stats,
+        timing,
+    })
+}
 
-    let threads = effective_threads(opts.run.threads, n);
+/// Runs one spec's grid through [`execute`] with no cache. This is the
+/// body of `fleet run` and `fleet bench`, so their artifacts are the
+/// bytes a campaign writes for the same spec.
+pub(crate) fn execute_uncached(
+    entry: LoadedSpec,
+    run: &RunOptions,
+) -> (SpecReport, Vec<CellTiming>) {
+    let plan = CampaignPlan::new(vec![entry]);
+    let (mut metrics, _, timing) = execute(&plan, None, run);
+    let entry = plan.entries.into_iter().next().expect("a one-entry plan");
+    (entry.into_report(metrics.remove(0)), timing.cells)
+}
+
+/// Executes every cell of `plan` on one worker pool, replaying a cell
+/// from `cache` when it holds a budget-fit entry and storing every
+/// complete computed cell there. Returns each entry's metrics in cell
+/// order, the cache counters and the wall-clock sidecar.
+fn execute(
+    plan: &CampaignPlan,
+    cache: Option<&CellCache>,
+    run: &RunOptions,
+) -> (Vec<Vec<CellMetrics>>, CampaignStats, CampaignTiming) {
+    let started = Instant::now();
+    let setups = plan.setups();
+    let n = plan.total_cells();
+    let threads = effective_threads(run.threads, n);
+    let progress = !run.quiet;
     let finished = AtomicUsize::new(0);
     let outcomes: Vec<(CellMetrics, bool, bool, f64)> = parallel_indexed(n, threads, |i| {
         let job = plan.job(i);
         let (name, id, key) = (job.entry_name, &job.id, job.key);
         let job_started = Instant::now();
-        if opts.run.verbose && !opts.run.quiet {
-            eprintln!("campaign cell={name}:{id} event=start");
+        if progress && run.verbose {
+            eprintln!("cell={name}:{id} event=start");
         }
         // Budget-aware hit: only replay entries that demonstrably fit
         // the current step budget (see [`CellCache::load`]).
-        if let Some(metrics) = cache.as_ref().and_then(|c| c.load(key, job.budget)) {
-            let wall_ms = job_started.elapsed().as_secs_f64() * 1e3;
-            let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-            if !opts.run.quiet {
-                if opts.run.verbose {
-                    eprintln!(
-                        "campaign cell={name}:{id} event=finish cache=hit wall_ms={wall_ms:.1} \
-                         truncated={}",
-                        metrics.truncated,
-                    );
-                }
-                eprintln!("campaign [{done}/{n}] {name}:{id} HIT {key}");
+        let cached = cache.and_then(|c| c.load(key, job.budget));
+        let hit = cached.is_some();
+        let (metrics, stored) = match cached {
+            Some(metrics) => (metrics, false),
+            None => {
+                let metrics = plan.compute(i, &setups);
+                let stored = cache.is_some_and(|c| {
+                    c.store(key, job.kind, id, &metrics).unwrap_or_else(|e| {
+                        eprintln!("cache store failed for {id}: {e} (continuing uncached)");
+                        false
+                    })
+                });
+                (metrics, stored)
             }
-            return (metrics, true, false, wall_ms);
-        }
-        let metrics = plan.compute(i, &setups);
-        let stored = match &cache {
-            Some(c) => c.store(key, job.kind, id, &metrics).unwrap_or_else(|e| {
-                eprintln!("campaign cache store failed for {id}: {e} (continuing uncached)");
-                false
-            }),
-            None => false,
         };
         let wall_ms = job_started.elapsed().as_secs_f64() * 1e3;
         let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-        if !opts.run.quiet {
-            if opts.run.verbose {
+        if progress {
+            if run.verbose {
                 eprintln!(
-                    "campaign cell={name}:{id} event=finish cache=miss wall_ms={wall_ms:.1} \
-                     truncated={}",
+                    "cell={name}:{id} event=finish cache={} wall_ms={wall_ms:.1} truncated={} \
+                     failed={}",
+                    if hit { "hit" } else { "miss" },
                     metrics.truncated,
+                    metrics.failed,
                 );
             }
-            eprintln!(
-                "campaign [{done}/{n}] {name}:{id} done in {:.1}s{}",
-                job_started.elapsed().as_secs_f64(),
-                if metrics.truncated {
-                    ", TRUNCATED (not cached)"
-                } else {
-                    ""
-                },
-            );
+            if hit {
+                eprintln!("[{done}/{n}] {name}:{id} HIT {key}");
+            } else {
+                eprintln!(
+                    "[{done}/{n}] {name}:{id} done in {:.1}s{}",
+                    wall_ms / 1e3,
+                    if metrics.truncated {
+                        ", TRUNCATED (not cached)"
+                    } else {
+                        ""
+                    },
+                );
+            }
         }
-        (metrics, false, stored, wall_ms)
+        (metrics, hit, stored, wall_ms)
     });
 
     let stats = CampaignStats {
@@ -630,59 +698,40 @@ pub fn run_campaign(
         misses: outcomes.iter().filter(|(_, hit, _, _)| !*hit).count(),
         stored: outcomes.iter().filter(|(_, _, s, _)| *s).count(),
     };
-
-    // The wall-clock sidecar rows, in flat job order.
-    let timing_cells: Vec<CellTiming> = (0..n)
-        .zip(&outcomes)
-        .map(|(i, (m, hit, _, wall_ms))| {
-            let job = plan.job(i);
-            CellTiming {
-                entry: job.entry_name.to_string(),
-                id: job.id,
-                cache_hit: *hit,
-                wall_ms: *wall_ms,
-                truncated: m.truncated,
-            }
-        })
-        .collect();
-
-    // Split the flat results back into per-entry artifacts.
-    let mut metrics_by_entry: Vec<Vec<CellMetrics>> = plan
+    let mut metrics: Vec<Vec<CellMetrics>> = plan
         .entries
         .iter()
         .map(|e| Vec::with_capacity(e.cells()))
         .collect();
-    for (&(ei, _), (m, _, _, _)) in plan.jobs.iter().zip(outcomes) {
-        metrics_by_entry[ei].push(m);
+    let mut cells = Vec::with_capacity(n);
+    for (i, (m, hit, _, wall_ms)) in outcomes.into_iter().enumerate() {
+        let job = plan.job(i);
+        cells.push(CellTiming {
+            entry: job.entry_name.to_string(),
+            id: job.id,
+            cache_hit: hit,
+            wall_ms,
+            truncated: m.truncated,
+        });
+        metrics[plan.jobs[i].0].push(m);
     }
-
-    let (manifest, reports) = assemble_reports(spec, plan, metrics_by_entry);
-
-    if !opts.run.quiet {
-        eprintln!(
-            "campaign `{}`: {} cells on {} threads in {:.1}s ({})",
-            spec.name,
-            n,
-            threads,
-            started.elapsed().as_secs_f64(),
-            stats.render(opts.cache_dir.is_some()),
-        );
+    let total_ms = started.elapsed().as_secs_f64() * 1e3;
+    if progress {
+        eprintln!("{n} cells on {threads} threads in {:.1}s", total_ms / 1e3);
     }
-    Ok(CampaignResult {
-        manifest,
-        reports,
+    (
+        metrics,
         stats,
-        timing: CampaignTiming {
-            cells: timing_cells,
-            total_ms: started.elapsed().as_secs_f64() * 1e3,
+        CampaignTiming {
+            cells,
+            total_ms,
             threads,
         },
-    })
+    )
 }
 
 /// Folds per-entry metrics into the final artifacts: one [`SpecReport`]
-/// per entry (byte-identical to what `fleet run` / `fleet bench` would
-/// produce) plus the [`CampaignManifest`]. Shared by [`run_campaign`]
+/// per entry plus the [`CampaignManifest`]. Shared by [`run_campaign`]
 /// and [`assemble_campaign`] so the two paths cannot drift.
 fn assemble_reports(
     spec: &CampaignSpec,
@@ -699,45 +748,21 @@ fn assemble_reports(
         .zip(metrics_by_entry)
     {
         let name = entry.name().to_string();
-        let (report, ids): (SpecReport, Vec<String>) = match entry {
-            LoadedSpec::Sweep(s, cells) => {
-                let ids = cells.iter().map(Cell::id).collect();
-                let results: Vec<CellResult> = cells
-                    .into_iter()
-                    .zip(metrics)
-                    .map(|(cell, metrics)| CellResult { cell, metrics })
-                    .collect();
-                (SpecReport::Sweep(FleetReport::assemble(s, results)), ids)
-            }
-            LoadedSpec::Bench(s, cells) => {
-                let ids = cells.iter().map(BenchCell::id).collect();
-                let results: Vec<BenchCellResult> = cells
-                    .into_iter()
-                    .zip(metrics)
-                    .map(|(cell, metrics)| BenchCellResult { cell, metrics })
-                    .collect();
-                (
-                    SpecReport::Bench(BenchReport {
-                        version: BENCH_REPORT_VERSION,
-                        spec: s,
-                        cells: results,
-                    }),
-                    ids,
-                )
-            }
-        };
         manifest_entries.push(ManifestEntry {
             path: listed.path.clone(),
             kind: listed.kind,
-            name: name.clone(),
             report: format!("{name}.report.json"),
-            cells: ids
+            cells: keys
                 .into_iter()
-                .zip(keys)
-                .map(|(id, key)| ManifestCell { id, key })
+                .enumerate()
+                .map(|(ci, key)| ManifestCell {
+                    id: entry.cell_id(ci),
+                    key,
+                })
                 .collect(),
+            name,
         });
-        reports.push(report);
+        reports.push(entry.into_report(metrics));
     }
     (
         CampaignManifest {

@@ -11,9 +11,8 @@
 //!   arrival CV × request rate × cluster shape × policy, expanded
 //!   deterministically with per-cell seed derivation that gives every
 //!   policy in a cell group byte-identical traffic;
-//! - [`runner`] — the thread-pool fleet runner over
-//!   `flexpipe_serving::Engine`, with progress reporting, per-cell panic
-//!   containment and the step-budget watchdog;
+//! - [`runner`] — sweep cells over `flexpipe_serving::Engine` and the
+//!   worker pool every grid runs on, with the step-budget watchdog;
 //! - [`report`] — steady-state aggregation (TTFT/TPOT percentiles, SLO
 //!   attainment, goodput, refactor pauses) into per-cell and per-policy
 //!   tables plus a byte-stable JSON artifact;
@@ -23,9 +22,10 @@
 //! - [`mod@bench`] — engine-tunable sweeps (`fleet bench`): ubatch size ×
 //!   prefill caps × admission batch × rates up to 10× the paper's 20 QPS,
 //!   with informational wall-clock throughput columns;
-//! - [`campaign`] — resumable multi-spec campaigns (`fleet campaign`):
-//!   sweep + bench spec lists over one shared worker pool, with every
-//!   cell persisted in the content-addressed cache;
+//! - [`campaign`] — the cell executor, with per-cell panic containment
+//!   and progress reporting, and resumable multi-spec campaigns (`fleet
+//!   campaign`): sweep + bench spec lists over one shared worker pool,
+//!   with every cell persisted in the content-addressed cache;
 //! - [`cache`] — the per-cell artifact cache: keys hash each cell's
 //!   canonicalized semantics under the engine-fingerprint salt, entries
 //!   write atomically, truncated cells never persist (the resume
@@ -39,13 +39,15 @@
 //!   claim-file coordination with heartbeats and stale-claim reaping;
 //! - [`trace`] — structured engine traces as fleet artifacts
 //!   (`fleet trace`): record a cell's virtual-time JSONL trace,
-//!   summarize or structurally diff trace files, and profile the
-//!   engine's dispatch per event kind at fleet scale, timed from outside
-//!   the engine.
+//!   summarize trace files, and profile the engine's dispatch per event
+//!   kind at fleet scale, timed from outside the engine.
 //!
-//! The `flexpipe-fleet` binary wraps it all into `init` / `run` /
-//! `bench` / `campaign` / `worker` / `cache` / `trace` /
-//! `fingerprint` / `compare` / `gate` subcommands.
+//! One executor (in [`campaign`]) runs every cell that `fleet run`,
+//! `fleet bench` and `fleet campaign` compute, so a spec's artifact is
+//! the same bytes whichever verb produced it. The `flexpipe-fleet`
+//! binary wraps it all into `init` / `run` / `bench` / `campaign` /
+//! `worker` / `serve` / `trace` / `check` / `cache` / `fingerprint` /
+//! `compare` / `gate` subcommands, declared in one verb table.
 //!
 //! # Determinism contract
 //!
@@ -70,7 +72,7 @@ pub mod worker;
 
 pub use bench::{
     derive_bench_seed, run_bench, run_bench_cell, BenchCell, BenchCellResult, BenchReport,
-    BenchSpec, BenchTiming,
+    BenchSpec,
 };
 pub use cache::{
     cache_salt, canonical_json, canonicalize, cell_key, key_shard, CacheStats, CellCache,

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use crate::spec::{Cell, SweepSpec};
 
 /// Steady-state metrics of one executed cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CellMetrics {
     /// Requests offered (arrivals in the measured window).
     pub offered: usize,

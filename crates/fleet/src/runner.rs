@@ -1,23 +1,19 @@
-//! The parallel fleet runner: executes an expanded scenario grid on a
-//! worker thread pool over the serving engine.
+//! Fleet cells: building a cell's engine from its spec coordinates,
+//! running it to metrics, and the worker pool every grid runs on.
 //!
-//! Each worker pulls the next unclaimed cell from a shared atomic cursor,
-//! constructs the cell's workload / scenario / policy from the spec
+//! A cell constructs its workload / scenario / policy from the spec
 //! (generation is seeded per cell, so construction order across threads
-//! cannot perturb results), runs the engine, and writes its metrics into
-//! the cell's pre-allocated result slot. Model artefacts (graph +
-//! granularity lattice) are built once and shared via `Arc` — lattice
-//! construction costs more than a short cell run.
-//!
-//! Robustness: every cell body runs under `catch_unwind`, so one
-//! pathological cell reports as failed instead of tearing down the grid,
-//! and the engine's step budget (`SweepSpec::max_events`) bounds runaway
-//! cells, which surface with `truncated = true`.
+//! cannot perturb results) and runs the engine; model artefacts (graph +
+//! granularity lattice) are built once per model and shared — lattice
+//! construction costs more than a short cell run. [`run_sweep`] hands
+//! its grid to the campaign executor ([`crate::campaign`]), which runs
+//! each cell with panic containment: one pathological cell reports as
+//! failed instead of tearing down the grid, and the engine's step
+//! budget (`SweepSpec::max_events`) bounds runaway cells, which surface
+//! with `truncated = true`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use flexpipe_bench::PaperSetup;
 use flexpipe_chaos::{virtual_horizon, warp_arrivals, DisruptionScript};
@@ -25,7 +21,8 @@ use flexpipe_serving::{Engine, EngineConfig, ObservedRun, Scenario, TraceMode};
 use flexpipe_sim::{SimDuration, SimRng, SimTime};
 use flexpipe_workload::{ArrivalSpec, WorkloadSpec};
 
-use crate::report::{summarize_cell, CellMetrics, CellResult, FleetReport};
+use crate::campaign::{execute_uncached, LoadedSpec, SpecReport};
+use crate::report::{summarize_cell, CellMetrics, FleetReport};
 use crate::spec::{Cell, DisruptionShape, SweepSpec};
 
 /// Runner configuration.
@@ -161,41 +158,17 @@ pub(crate) fn build_cell_engine(
 /// step-budget truncation.
 pub(crate) fn failed_cell_metrics() -> CellMetrics {
     CellMetrics {
-        offered: 0,
-        completed: 0,
-        within_slo: 0,
-        slo_attainment: 0.0,
-        goodput_per_sec: 0.0,
-        p50_ttft: 0.0,
-        p99_ttft: 0.0,
-        p50_tpot: 0.0,
-        p99_tpot: 0.0,
-        p50_latency: 0.0,
-        p99_latency: 0.0,
-        refactors: 0,
-        refactor_pause_secs: 0.0,
-        mean_gpus_held: 0.0,
-        spawns: 0,
-        revocations: 0,
-        requests_replayed: 0,
-        tokens_lost: 0,
-        mean_ttr_secs: 0.0,
-        max_ttr_secs: 0.0,
-        disrupted_completed: 0,
-        disrupted_within_slo: 0,
-        events: 0,
-        truncated: false,
         failed: true,
+        ..CellMetrics::default()
     }
 }
 
 /// Runs `n` index-addressed jobs on a pool of `threads` workers and
-/// returns the results in index order. The shared backbone of
-/// [`run_sweep`], [`crate::bench::run_bench`] and
-/// [`crate::campaign::run_campaign`]: workers pull the next unclaimed
-/// index from an atomic cursor and write into pre-assigned slots, so
-/// thread interleaving can never reorder (or drop) results. `f` is
-/// responsible for its own panic containment.
+/// returns the results in index order. The shared backbone of the
+/// campaign executor and [`crate::worker`]: workers pull the next
+/// unclaimed index from an atomic cursor and write into pre-assigned
+/// slots, so thread interleaving can never reorder (or drop) results.
+/// `f` is responsible for its own panic containment.
 pub(crate) fn parallel_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -228,15 +201,12 @@ where
 
 /// Runs the full sweep, in parallel, and assembles the report.
 pub fn run_sweep(spec: &SweepSpec, opts: &RunOptions) -> Result<FleetReport, FleetError> {
-    spec.validate().map_err(FleetError)?;
-    let cells = spec.expand();
-    let n = cells.len();
-    let started = Instant::now();
+    let entry = LoadedSpec::sweep(spec.clone()).map_err(FleetError)?;
     if !opts.quiet {
         eprintln!(
             "fleet `{}`: {} cells ({} cvs x {} rates x {} clusters x {} disruptions x {} replicas x {} policies), model {}",
             spec.name,
-            n,
+            entry.cells(),
             spec.cvs.len(),
             spec.rates.len(),
             spec.clusters.len(),
@@ -246,70 +216,10 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOptions) -> Result<FleetReport, Fle
             spec.model.name(),
         );
     }
-
-    // Shared model artefacts (graph + lattice): built once, read-only.
-    let setup = PaperSetup::for_model(spec.model);
-    if !opts.quiet {
-        eprintln!(
-            "fleet `{}`: lattice ready ({} levels) in {:.1}s",
-            spec.name,
-            setup.levels.len(),
-            started.elapsed().as_secs_f64()
-        );
+    match execute_uncached(entry, opts).0 {
+        SpecReport::Sweep(report) => Ok(report),
+        SpecReport::Bench(_) => unreachable!("a sweep entry assembles a sweep report"),
     }
-
-    let threads = effective_threads(opts.threads, n);
-    let finished = AtomicUsize::new(0);
-    let metrics = parallel_indexed(n, threads, |i| {
-        let cell = &cells[i];
-        if opts.verbose && !opts.quiet {
-            eprintln!("fleet cell={} event=start", cell.id());
-        }
-        let cell_started = Instant::now();
-        let metrics = match catch_unwind(AssertUnwindSafe(|| run_cell(spec, cell, &setup))) {
-            Ok(m) => m,
-            Err(_) => {
-                eprintln!("fleet cell {} PANICKED; recorded as failed", cell.id());
-                failed_cell_metrics()
-            }
-        };
-        if opts.verbose && !opts.quiet {
-            eprintln!(
-                "fleet cell={} event=finish wall_ms={:.1} truncated={} failed={}",
-                cell.id(),
-                cell_started.elapsed().as_secs_f64() * 1e3,
-                metrics.truncated,
-                metrics.failed,
-            );
-        }
-        let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-        if !opts.quiet {
-            eprintln!(
-                "fleet [{done}/{n}] {} done in {:.1}s (SLO att. {:.1}%{})",
-                cell.id(),
-                cell_started.elapsed().as_secs_f64(),
-                metrics.slo_attainment * 100.0,
-                if metrics.truncated { ", TRUNCATED" } else { "" },
-            );
-        }
-        metrics
-    });
-
-    let results: Vec<CellResult> = cells
-        .into_iter()
-        .zip(metrics)
-        .map(|(cell, metrics)| CellResult { cell, metrics })
-        .collect();
-    if !opts.quiet {
-        eprintln!(
-            "fleet `{}`: {} cells on {} threads in {:.1}s",
-            spec.name,
-            n,
-            threads,
-            started.elapsed().as_secs_f64()
-        );
-    }
-    Ok(FleetReport::assemble(spec.clone(), results))
 }
 
 /// Resolves the worker count: explicit, else one per core, always within

@@ -1,13 +1,13 @@
 //! `fleet trace`: structured engine traces as a first-class fleet
-//! artifact — record a cell's trace, summarize a trace file, diff two
-//! traces structurally, and profile the engine's dispatch per event kind.
+//! artifact — record a cell's trace, summarize a trace file, and profile
+//! the engine's dispatch per event kind.
 //!
 //! Traces are virtual-time-stamped JSONL (see [`flexpipe_obs`]): byte
-//! stable for a given (spec, cell) at any thread count, which makes
-//! `fleet trace diff` a meaningful equivalence check — the seed of the
-//! future trace-equivalence checker subsystem. Profiling is the one
-//! deliberately wall-clock piece: it times the engine from outside, one
-//! step at a time, and stays outside every artifact, like bench timings.
+//! stable for a given (spec, cell) at any thread count, which is what
+//! lets `fleet check equiv` compare two of them meaningfully. Profiling
+//! is the one deliberately wall-clock piece: it times the engine from
+//! outside, one step at a time, and stays outside every artifact, like
+//! bench timings.
 
 use std::ops::RangeInclusive;
 use std::time::Instant;

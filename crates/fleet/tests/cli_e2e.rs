@@ -192,71 +192,6 @@ fn gate_catches_recovery_regressions_from_the_cli() {
 }
 
 #[test]
-fn run_gate_is_a_one_shot_ci_mode() {
-    let dir = tmp_dir("run-gate");
-    let spec_path = dir.join("sweep.json");
-    let baseline_path = dir.join("baseline.json");
-    std::fs::write(&spec_path, small_spec_json()).unwrap();
-
-    // Produce the baseline artifact.
-    let out = bin()
-        .arg("run")
-        .arg(&spec_path)
-        .arg("--out")
-        .arg(&baseline_path)
-        .arg("--quiet")
-        .output()
-        .expect("baseline run");
-    assert!(out.status.success());
-
-    // run --gate against the (identical) baseline passes with exit 0.
-    let out = bin()
-        .arg("run")
-        .arg(&spec_path)
-        .arg("--out")
-        .arg(dir.join("fresh.json"))
-        .arg("--quiet")
-        .arg("--gate")
-        .arg(&baseline_path)
-        .output()
-        .expect("run --gate");
-    assert!(
-        out.status.success(),
-        "run --gate failed: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("GATE PASS"));
-
-    // A doctored (better-than-achievable) baseline makes the same run
-    // exit 2, matching the `gate` subcommand's contract.
-    let report = std::fs::read_to_string(&baseline_path).unwrap();
-    let mut parsed = flexpipe_fleet::FleetReport::from_json(&report).unwrap();
-    for cell in &mut parsed.cells {
-        cell.metrics.goodput_per_sec *= 10.0;
-    }
-    let doctored_path = dir.join("doctored.json");
-    std::fs::write(&doctored_path, parsed.to_json()).unwrap();
-    let out = bin()
-        .arg("run")
-        .arg(&spec_path)
-        .arg("--out")
-        .arg(dir.join("fresh2.json"))
-        .arg("--quiet")
-        .arg("--gate")
-        .arg(&doctored_path)
-        .output()
-        .expect("run --gate vs doctored");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "run --gate must exit 2 on regression: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn rerunning_the_cli_reproduces_the_artifact_byte_identically() {
     let dir = tmp_dir("rerun");
     let spec_path = dir.join("sweep.json");
@@ -310,10 +245,13 @@ fn usage_errors_exit_one() {
     assert_eq!(out.status.code(), Some(1));
     let out = bin().arg("gate").arg("x.json").output().unwrap();
     assert_eq!(out.status.code(), Some(1));
+    // The trace-diff verb is gone: `check equiv` compares traces.
+    let out = bin().args(["trace", "diff", "a", "b"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
 
-    // Retired flags (the wall-clock gates, the engine-mode switch) and
-    // any other flag a verb does not take are usage errors that name the
-    // flag, not silent no-ops or spec paths.
+    // Retired flags (the wall-clock gates, the engine-mode switch, the
+    // run-and-gate mode) and any other flag a verb does not take are
+    // usage errors that name the flag, not silent no-ops or spec paths.
     let dir = tmp_dir("usage");
     let bench_spec = dir.join("bench.json");
     let sweep_spec = dir.join("sweep.json");
@@ -330,7 +268,7 @@ fn usage_errors_exit_one() {
     let (bench_arg, sweep_arg, campaign_arg) =
         (arg(&bench_spec), arg(&sweep_spec), arg(&campaign_spec));
     // Each case names the text that follows `unknown flag ` on stderr.
-    let unknown: [(&[&str], &str); 9] = [
+    let unknown: [(&[&str], &str); 11] = [
         (
             &["trace", "profile", "--min-speedup", "2"],
             "--min-speedup for ",
@@ -360,6 +298,11 @@ fn usage_errors_exit_one() {
         (
             &["worker", &campaign_arg, "--store", "log"],
             "--store for worker",
+        ),
+        (&["run", &sweep_arg, "--gate", "x"], "--gate for run"),
+        (
+            &["worker", &campaign_arg, "--verbose"],
+            "--verbose for worker",
         ),
     ];
     for (args, expect) in unknown {

@@ -3,7 +3,7 @@
 //! traces themselves are *deterministic artifacts*
 //! (byte-identical JSONL no matter how many threads record concurrently),
 //! including under proptest-randomized disruption churn. This is what
-//! makes `fleet trace diff` a meaningful equivalence check.
+//! makes `fleet check equiv` on two recordings a meaningful check.
 
 use std::sync::OnceLock;
 
@@ -14,7 +14,7 @@ use flexpipe_fleet::{
     CellResult, ClusterShape, DisruptionShape, FleetReport, PolicySpec, RunOptions, SweepSpec,
 };
 use flexpipe_model::ModelId;
-use flexpipe_obs::{first_divergence, parse_jsonl, TraceSummary};
+use flexpipe_obs::{parse_jsonl, TraceSummary};
 use flexpipe_serving::TraceMode;
 use flexpipe_workload::LengthProfile;
 use proptest::prelude::*;
@@ -149,10 +149,7 @@ fn traces_are_byte_identical_across_concurrent_recorders() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for t in &traces {
-        assert!(
-            first_divergence(&reference, t).is_none(),
-            "concurrent recording diverged"
-        );
+        assert!(*t == reference, "concurrent recording diverged");
     }
 
     // The JSONL round-trips and carries the expected vocabularies:
@@ -199,7 +196,7 @@ proptest! {
             prop_assert_eq!(&plain, &traced, "tracing perturbed cell {}", cell.id());
             let (_, second) = run_cell_observed(&spec, &cell, setup, TraceMode::Full);
             prop_assert!(
-                first_divergence(&first.trace.to_jsonl(), &second.trace.to_jsonl()).is_none(),
+                first.trace.to_jsonl() == second.trace.to_jsonl(),
                 "re-recording cell {} diverged", cell.id()
             );
         }

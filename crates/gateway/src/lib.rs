@@ -17,8 +17,8 @@
 //!   stream onto `N` shard threads, each an independent engine
 //!   partition driven through `flexpipe_serving::SteppedEngine`, the
 //!   same driver that runs every offline cell;
-//!   [`serve()`](serve::serve) records, [`replay()`](serve::replay)
-//!   re-executes a recording byte-for-byte.
+//!   [`serve_with`] records, [`replay_with`] re-executes a recording
+//!   byte-for-byte.
 //!
 //! # Determinism contract
 //!
@@ -42,9 +42,7 @@ pub use record::{
     cross_shard_check_spec, RecordedArrival, Recording, ServeSpec, ShardPolicy, RECORDING_VERSION,
 };
 pub use router::{mix64, HashRing, LeastLoadedSpillover, NoSpillover, SpilloverPolicy};
-pub use serve::{
-    replay, replay_with, serve, serve_virtual, serve_with, Pacing, ServeOutcome, ShardReport,
-};
+pub use serve::{replay_with, serve_virtual, serve_with, Pacing, ServeOutcome, ShardReport};
 
 pub use flexpipe_bench::PaperSetup;
 pub use flexpipe_serving::{TraceMode, TraceRecorder};

@@ -9,7 +9,7 @@
 //! and the spillover hook, and sending it to its shard. When the
 //! generator hangs up, shards drain to the horizon and report.
 //!
-//! [`serve`] records; [`replay`] re-executes a recording through the
+//! [`serve_with`] records; [`replay_with`] re-executes a recording through the
 //! *same* shard driver with stamps and placements read from the
 //! recording instead of decided live — which is why a replay's
 //! per-shard reports (and its own re-assembled recording) are
@@ -83,18 +83,6 @@ pub struct ServeOutcome {
     pub traces: Vec<TraceRecorder>,
 }
 
-/// Runs a live serve: builds the model setup, then delegates to
-/// [`serve_with`].
-pub fn serve(
-    spec: &ServeSpec,
-    pacing: Pacing,
-    spill: &dyn SpilloverPolicy,
-) -> Result<ServeOutcome, GatewayError> {
-    spec.validate()?;
-    let setup = PaperSetup::for_model(spec.model);
-    serve_with(spec, pacing, spill, &setup, TraceMode::Off)
-}
-
 /// Runs a live serve against a pre-built model setup (share it across
 /// runs — lattice construction dwarfs a short serve) with tracing
 /// optionally armed on every shard engine.
@@ -159,15 +147,10 @@ pub fn serve_with(
     assemble(spec, &schedule.requests, &assignments, runs)
 }
 
-/// Re-executes a recording: same shard drivers, same injection rule,
-/// with every stamp and placement read from the recording. Builds the
-/// model setup; use [`replay_with`] to share one.
-pub fn replay(recording: &Recording) -> Result<ServeOutcome, GatewayError> {
-    let setup = PaperSetup::for_model(recording.spec.model);
-    replay_with(recording, &setup, TraceMode::Off)
-}
-
-/// [`replay`] against a pre-built model setup, with optional tracing.
+/// Re-executes a recording against a pre-built model setup: same shard
+/// drivers, same injection rule, with every stamp and placement read
+/// from the recording, and tracing optionally armed on every shard
+/// engine.
 ///
 /// The returned outcome's recording is re-assembled from the replayed
 /// shards and is byte-identical to the input — a built-in self-check.

@@ -4,11 +4,9 @@
 //!
 //! The crate is deliberately engine-independent — trace records carry
 //! plain integer ids and seconds, not engine types — so the same format
-//! works for the `fleet trace` CLI today and the planned
-//! schedule-equivalence checker later: two runs are behaviourally
-//! equivalent iff their trace files are byte-identical, and
-//! [`diff::first_divergence`] pinpoints the first event where they are
-//! not.
+//! serves the `fleet trace` CLI and the schedule-equivalence checker
+//! (`flexpipe-check`), which decides whether two traces mean the same
+//! run modulo the order of commuting events.
 //!
 //! Three layers; the first two are always compiled into the engine and
 //! cheaply disableable, the third lives outside it:
@@ -27,18 +25,16 @@
 //!   each `SteppedEngine` step per event kind). The engine itself never
 //!   reads a clock. Wall times are inherently non-deterministic, so
 //!   profiler output stays outside every cached or byte-compared
-//!   artifact, mirroring the fleet's `BenchTiming`.
+//!   artifact, like the fleet's per-cell wall-clock rows.
 
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod event;
 pub mod profile;
 pub mod recorder;
 pub mod registry;
 pub mod summary;
 
-pub use diff::{first_divergence, Divergence};
 pub use event::{TraceEvent, TraceRecord};
 pub use profile::Profiler;
 pub use recorder::{TraceMode, TraceRecorder};

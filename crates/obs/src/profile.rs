@@ -6,7 +6,7 @@
 //! returns) and feeds the measurements in with [`Profiler::observe`].
 //! Wall times vary run to run, so profiler output must never enter a
 //! cached or byte-compared artifact — it is reported beside them,
-//! exactly like the fleet's `BenchTiming`.
+//! like the fleet's per-cell wall-clock rows.
 
 use std::collections::BTreeMap;
 

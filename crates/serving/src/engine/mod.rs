@@ -249,7 +249,9 @@ pub struct EngineState {
     /// update its fleet mirror from deltas instead of re-snapshotting the
     /// whole fleet.
     pub(super) policy_dirty: std::collections::BTreeSet<InstanceId>,
-    pub(super) pending_refactors: HashMap<InstanceId, PendingRefactor>,
+    /// Ordered by instance id: one revocation can cancel several
+    /// refactors, and it releases, traces and resumes them in this order.
+    pub(super) pending_refactors: BTreeMap<InstanceId, PendingRefactor>,
     pub(super) host_cache: HashMap<(u32, u32), HostCacheEntry>,
     pub(super) gpus_in_use: GpuSet,
     pub(super) script: DisruptionScript,
@@ -584,7 +586,7 @@ impl Engine {
             max_batch_memo: scenario.cost.max_batch_table(),
             ubatches: UbatchMap::default(),
             policy_dirty: std::collections::BTreeSet::new(),
-            pending_refactors: HashMap::new(),
+            pending_refactors: BTreeMap::new(),
             host_cache: HashMap::new(),
             gpus_in_use: GpuSet::new(),
             script: scenario.disruptions.sorted(),

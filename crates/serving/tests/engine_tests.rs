@@ -1138,3 +1138,103 @@ fn live_injection_reproduces_the_offline_report() {
         }
     }
 }
+
+/// Six single-GPU instances, each refactoring to two stages with its
+/// fresh stage on the cluster's one 8-GPU server.
+struct RefactorOntoOneServer {
+    fired: bool,
+}
+
+impl ControlPolicy for RefactorOntoOneServer {
+    fn name(&self) -> &'static str {
+        "refactor-onto-one-server"
+    }
+    fn init(&mut self, ctx: &mut Ctx<'_>) {
+        let all: Vec<_> = ctx
+            .state
+            .cluster()
+            .topology()
+            .gpus()
+            .iter()
+            .map(|g| g.id)
+            .collect();
+        ctx.set_always_on(all);
+        // GPUs 8..14 are the six one-GPU servers.
+        for gpu in 8..14 {
+            ctx.spawn_prewarmed(1, Placement::Explicit(vec![flexpipe_cluster::GpuId(gpu)]))
+                .expect("spawn on an idle one-GPU server");
+        }
+    }
+    fn on_tick(&mut self, ctx: &mut Ctx<'_>) {
+        if self.fired || ctx.now() < SimTime::from_secs(5) {
+            return;
+        }
+        let new_ranges = ctx
+            .state
+            .lattice()
+            .level(2)
+            .expect("level exists")
+            .ranges
+            .clone();
+        for (gpu, inst) in ctx.instances().iter().enumerate() {
+            let plan = RefactorPlan {
+                new_ranges: new_ranges.clone(),
+                assignments: vec![
+                    StageAssign::Reuse { old_index: 0 },
+                    StageAssign::Fresh {
+                        gpu: flexpipe_cluster::GpuId(gpu as u32),
+                    },
+                ],
+                prepare: SimDuration::from_secs(3),
+                pause: SimDuration::from_millis(10),
+            };
+            ctx.refactor(inst.id, plan).expect("refactor accepted");
+        }
+        self.fired = true;
+    }
+}
+
+#[test]
+fn one_revocation_cancels_its_refactors_in_instance_order() {
+    use flexpipe_chaos::{Disruption, DisruptionEvent, DisruptionScript};
+    use flexpipe_serving::{TraceEvent, TraceMode};
+    let (graph, lattice) = llama_artifacts();
+    let mut sc = scenario(1.0, 2.0, 20.0, 5);
+    // Server 0 has 8 GPUs (0..8); servers 1..7 have one each (8..14).
+    sc.cluster = ClusterSpec::heterogeneous("one-big-server", 7, 14, 7);
+    sc.disruptions = DisruptionScript {
+        name: "preempt-mid-prepare".into(),
+        events: vec![DisruptionEvent {
+            at_secs: 6.5,
+            kind: Disruption::ServerPreempt {
+                server: 0,
+                grace_secs: 0.0,
+            },
+        }],
+    };
+    // Identical engines in one process: the cancellation order must not
+    // depend on anything but the engine's inputs.
+    for run in 0..4 {
+        let mut engine = Engine::new(
+            sc.clone(),
+            graph.clone(),
+            lattice.clone(),
+            Box::new(RefactorOntoOneServer { fired: false }),
+        );
+        engine.set_trace(TraceMode::Full);
+        let observed = engine.run_observed();
+        let aborted: Vec<u64> = observed
+            .trace
+            .records()
+            .filter_map(|r| match r.event {
+                TraceEvent::RefactorAbort { instance } => Some(instance),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(aborted.len(), 6, "run {run}: {aborted:?}");
+        assert!(
+            aborted.windows(2).all(|w| w[0] < w[1]),
+            "run {run}: refactors cancelled out of instance order: {aborted:?}"
+        );
+    }
+}
